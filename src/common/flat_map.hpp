@@ -118,9 +118,18 @@ class FlatMap {
 
   /// Ensures capacity for `expected` entries at the fixed 1/2 load factor.
   void reserve(std::size_t expected) {
-    if (expected == 0) return;
-    const auto target = static_cast<std::size_t>(next_pow2(expected * 2 + 1));
+    const std::size_t target = capacity_for(expected);
     if (target > slots_.size()) rehash(target);
+  }
+
+  /// Removes all entries and sizes the map for `expected` entries: the
+  /// slot array survives (cleared) while hashing::reset_keeps() admits its
+  /// capacity, and is otherwise dropped unwalked for a fresh one of the
+  /// capacity reserve() would pick.
+  void reset(std::size_t expected) {
+    const std::size_t target = capacity_for(expected);
+    if (hashing::reset_keeps(slots_.size(), target)) return clear();
+    allocate(target);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -140,13 +149,23 @@ class FlatMap {
 
   void grow() { rehash(slots_.empty() ? 16 : slots_.size() * 2); }
 
+  [[nodiscard]] static std::size_t capacity_for(std::size_t expected) noexcept {
+    return expected == 0 ? 0 : static_cast<std::size_t>(next_pow2(expected * 2 + 1));
+  }
+
+  /// Replaces the slot array with an empty one of `capacity` slots.
+  void allocate(std::size_t capacity) {
+    assert(capacity == 0 || is_pow2(capacity));
+    slots_ = std::vector<Slot>(capacity);
+    mask_ = capacity == 0 ? 0 : capacity - 1;
+    max_entries_ = capacity / 2;
+    size_ = 0;
+  }
+
   void rehash(std::size_t new_capacity) {
     assert(is_pow2(new_capacity));
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
-    mask_ = new_capacity - 1;
-    max_entries_ = new_capacity / 2;
-    size_ = 0;
+    allocate(new_capacity);
     for (const Slot& slot : old) {
       if (slot.key != kInvalidVid) ref(slot.key) = slot.value;
     }

@@ -49,6 +49,14 @@ struct LevelTrace {
   std::vector<std::uint64_t> scanned_vertices;
 };
 
+/// A level's engine footprint at its start, summed over ranks: the
+/// In_Table entries it refines and the hash-table slots (In_Table,
+/// Out_Table, community maps) every scan and clear of the level walks.
+struct TableFootprint {
+  std::uint64_t in_entries{0};
+  std::uint64_t slots{0};
+};
+
 /// One hierarchy level (one outer-loop round).
 struct LouvainLevel {
   vid_t num_vertices{0};           // vertex count of this level's graph
@@ -59,6 +67,7 @@ struct LouvainLevel {
   // Communication volume of this level, summed over ranks (parallel engine
   // only; zero for the sequential baseline).
   TrafficStats traffic;
+  TableFootprint tables;  // parallel engine only
   LevelTrace trace;
 };
 
@@ -174,6 +183,7 @@ struct LabelSnapshot {
   double modularity{0.0};
   bool incremental{false};  // produced by dirty-region re-refine, not a cold rebuild
   std::vector<vid_t> labels;
+  std::vector<TableFootprint> tables;  // per level of the detection behind this epoch
 
   /// Community of vertex v; throws std::out_of_range for unknown ids.
   [[nodiscard]] vid_t community_of(vid_t v) const {

@@ -114,8 +114,7 @@ struct RowEntry {
 /// cold rebuild inside a fleet bit-identical to a one-shot run.
 void fill_in_table(hashing::EdgeTable& table, const graph::EdgeList& edges,
                    const graph::Partition1D& part, int me, int nranks) {
-  table.clear();
-  table.reserve(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
+  table.reset(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
   for (const Edge& e : edges) {
     if (e.u == e.v) {
       if (part.owner(e.u) == me) {
@@ -228,8 +227,7 @@ class RankEngine {
     part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
-    in_table_.clear();
-    in_table_.reserve(2 * slice.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
+    in_table_.reset(2 * slice.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
     pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
     for (const Edge& e : slice) {
       if (e.u == e.v) {
@@ -259,6 +257,7 @@ class RankEngine {
     WallTimer level_timer;
     LouvainLevel level;
     level.num_vertices = n_level_;
+    level.tables = tables_;
 
     {
       ScopedPhase sp(timers_, phase::kStatePropagation);
@@ -353,20 +352,32 @@ class RankEngine {
       adj_[cursor[l]++] = InEdge{key_hi(key), w};
     });
 
-    comms_.clear();
-    comms_.reserve(static_cast<std::size_t>(local_n) + 1);
+    // Every engine table starts the level fresh, sized for this level
+    // alone (DESIGN.md decision 17): no capacity, and so no probe order,
+    // outlives its level. The Σtot request tables start empty; the level's
+    // first request rebuild and first FIND size them.
+    out_table_ = hashing::EdgeTable(in_table_.size() + 16, opts_.table_max_load, opts_.hash);
+    comms_ = FlatMap<CommInfo>(static_cast<std::size_t>(local_n) + 1);
+    sin_acc_ = FlatMap<weight_t>(static_cast<std::size_t>(local_n) + 1);
+    comm_refs_ = FlatMap<std::uint32_t>();
+    sigma_cache_ = FlatMap<SigmaRep>();
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
       const vid_t u = part_.to_global(comm_.rank(), l);
       comms_.ref(u) = CommInfo{strength_[l], 0.0, 1};
     }
-    out_table_.clear();
-    out_table_.reserve(in_table_.size() + 16);
     moves_.clear();
     iters_since_rebuild_ = 0;
     // What a full propagation costs, in records: one per In_Table entry,
     // summed over ranks. The per-iteration full-vs-delta decision compares
-    // the (allreduced) delta cost against this.
-    full_prop_records_ = comm_.allreduce_sum(static_cast<std::uint64_t>(in_table_.size()));
+    // the (allreduced) delta cost against this. The rest of the level's
+    // table footprint rides the same reduction.
+    const TableFootprint local{in_table_.size(),
+                               in_table_.capacity() + out_table_.capacity() +
+                                   comms_.capacity() + sin_acc_.capacity() +
+                                   comm_refs_.capacity() + sigma_cache_.capacity()};
+    tables_ = comm_.allreduce(local, [](const TableFootprint& a, const TableFootprint& b) {
+      return TableFootprint{a.in_entries + b.in_entries, a.slots + b.slots};
+    });
     // A pinned (Session) frontier applies to the level it was seeded on;
     // coarser levels (and fresh inits) refine unrestricted. Active-vertex
     // scheduling, by contrast, re-arms on every level: all vertices start
@@ -409,9 +420,8 @@ class RankEngine {
   /// Σin contribution, so sin_acc_ is rebuilt from scratch here — fused
   /// into the receive loop instead of a separate full table scan.
   void state_propagation_full() {
-    out_table_.clear();
-    sin_acc_.clear();
-    sin_acc_.reserve(label_.size() + 1);
+    out_table_.reset(in_table_.size() + 16);
+    sin_acc_.reset(label_.size() + 1);
     if (use_rows_) {
       for (auto& row : rows_) row.clear();
     }
@@ -566,8 +576,7 @@ class RankEngine {
   /// Re-derives comm_refs_ and sigma_reqs_ from the freshly rebuilt
   /// Out_Table and current labels.
   void rebuild_sigma_requests() {
-    comm_refs_.clear();
-    comm_refs_.reserve(out_table_.size() / 2 + label_.size() + 1);
+    comm_refs_.reset(out_table_.size() / 2 + label_.size() + 1);
     out_table_.for_each(
         [&](std::uint64_t key, weight_t) { ++comm_refs_.ref(key_lo(key)); });
     for (vid_t c : label_) ++comm_refs_.ref(c);
@@ -713,8 +722,7 @@ class RankEngine {
           },
           stay_init);
       for (std::size_t r = 0; r < nranks; ++r) build_reply(req_in_[r], replies_[r]);
-      sigma_cache_.clear();
-      sigma_cache_.reserve(total_reqs + 1);
+      sigma_cache_.reset(total_reqs + 1);
       // Replies from owner r answer sigma_reqs_[r] in order; a per-source
       // cursor keeps the pairing correct across chunk boundaries.
       reply_cursor_.assign(nranks, 0);
@@ -732,8 +740,7 @@ class RankEngine {
       std::vector<std::vector<SigmaRep>> replies(nranks);
       for (std::size_t r = 0; r < nranks; ++r) build_reply(incoming[r], replies[r]);
       const auto answered = comm_.exchange_grouped(replies);
-      sigma_cache_.clear();
-      sigma_cache_.reserve(total_reqs + 1);
+      sigma_cache_.reset(total_reqs + 1);
       for (std::size_t r = 0; r < nranks; ++r) {
         const auto& reqs = sigma_reqs_[r];
         const auto& vals = answered[r];
@@ -794,8 +801,7 @@ class RankEngine {
     // (c != cu). Comparing joins by (w_uc − Σtot_c·k_u/2m) is equivalent
     // to comparing ΔQ (metrics/modularity.hpp); the final gain is the
     // join-vs-stay difference rescaled to true ΔQ units.
-    sin_acc_.clear();
-    sin_acc_.reserve(label_.size() + 1);
+    sin_acc_.reset(label_.size() + 1);
     out_table_.for_each([&](std::uint64_t key, weight_t w) {
       const vid_t u = key_hi(key);
       const vid_t c = key_lo(key);
@@ -1060,9 +1066,9 @@ class RankEngine {
       // when the delta would ship at least as many records as a rebuild —
       // the delta path never loses on traffic.
       const double churn =
-          full_prop_records_ > 0
+          tables_.in_entries > 0
               ? static_cast<double>(moved.delta_records) /
-                    static_cast<double>(full_prop_records_)
+                    static_cast<double>(tables_.in_entries)
               : 0.0;
       // In pinned (Session) frontier mode the propagation is forced onto
       // the delta path: a full rebuild costs O(|In_Table|) — the
@@ -1080,7 +1086,7 @@ class RankEngine {
             drift_accum_ + churn >= opts_.adaptive_rebuild_drift));
       const bool delta_wins =
           delta_possible &&
-          (pinned_ || moved.delta_records < full_prop_records_);
+          (pinned_ || moved.delta_records < tables_.in_entries);
       t.reset();
       const std::uint64_t sent_before = comm_.stats().records_sent;
       if (rebuild_due || !delta_wins) {
@@ -1197,7 +1203,9 @@ class RankEngine {
   void graph_reconstruction(const FlatMap<vid_t>& dense, vid_t next_n) {
     graph::Partition1D next_part(opts_.partition, next_n, comm_.nranks());
 
-    hashing::EdgeTable next_in(out_table_.size() / 2 + 16, opts_.table_max_load,
+    // Sized from the next level alone (its owned vertex count); growth
+    // covers the rest, so capacity follows the entries that arrive.
+    hashing::EdgeTable next_in(next_part.local_count(comm_.rank()), opts_.table_max_load,
                                opts_.hash);
     // Swap the receive target in place so the handler can hash directly.
     pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
@@ -1255,7 +1263,7 @@ class RankEngine {
   // Moves of the current iteration, replayed by the delta propagation.
   std::vector<Move> moves_;
   int iters_since_rebuild_{0};
-  std::uint64_t full_prop_records_{0};
+  TableFootprint tables_;  // this level's, at its start, summed over ranks
 
   // Shared frontier infrastructure. While restricted_ is on, only vertices
   // with a set active_ bit may move, and the delta-propagation drain sets
@@ -1284,7 +1292,7 @@ class RankEngine {
   // incremented by each reconstruction.
   int level_index_{0};
   // Accumulated fractional Out_Table turnover since the last full rebuild
-  // (Σ delta_records / full_prop_records); drives the adaptive rebuild
+  // (Σ delta_records / tables_.in_entries); drives the adaptive rebuild
   // trigger. Built from allreduced tallies only, so it is identical on
   // every rank.
   double drift_accum_{0.0};
@@ -1497,10 +1505,7 @@ ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges, vid_t n_ve
 }
 
 // ---------------------------------------------------------------------------
-// One-shot launch bodies. These are the non-deprecated internals: both the
-// plv::louvain front door and the [[deprecated]] core::louvain_parallel*
-// wrappers forward here, so the library itself never calls a deprecated
-// symbol (the CI builds with -Werror).
+// One-shot launch bodies behind the plv::louvain front door.
 // ---------------------------------------------------------------------------
 
 static ParResult parallel_impl(const graph::EdgeList& edges, vid_t n_vertices,
@@ -1632,24 +1637,6 @@ static ParResult streamed_impl(const EdgeSliceFn& slice_of, vid_t n_vertices,
   return std::move(result.value);
 }
 
-#if defined(PLV_COMPAT)
-ParResult louvain_parallel(const graph::EdgeList& edges, vid_t n_vertices,
-                           const ParOptions& opts) {
-  return parallel_impl(edges, n_vertices, opts);
-}
-
-ParResult louvain_parallel_warm(const graph::EdgeList& edges, vid_t n_vertices,
-                                const std::vector<vid_t>& initial_labels,
-                                const ParOptions& opts) {
-  return warm_impl(edges, n_vertices, initial_labels, opts);
-}
-
-ParResult louvain_parallel_streamed(const EdgeSliceFn& slice_of, vid_t n_vertices,
-                                    const ParOptions& opts) {
-  return streamed_impl(slice_of, n_vertices, opts);
-}
-#endif  // PLV_COMPAT
-
 // ---------------------------------------------------------------------------
 // The resident fleet body behind plv::Session (core/session.hpp). Every
 // rank holds a patchable replica of the evolving edge list plus its slice
@@ -1708,9 +1695,11 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
   int batches_since_cold = 0;
 
   // One detection pass over the resident table. The engine is built fresh
-  // per pass on purpose: persistent engine scratch (table capacities in
-  // particular) would shift scan orders away from what a one-shot cold
-  // run produces, breaking the cold path's bit-for-bit equivalence.
+  // per pass because some of its state spans a whole pass (the phase
+  // timers, the pinned-frontier flag run_levels consults). Its hash tables
+  // would not need it: every level starts them fresh, sized by that
+  // level's In_Table alone (DESIGN.md decision 17), so their scan orders
+  // match a one-shot cold run's either way.
   const auto detect = [&](const std::vector<vid_t>* warm,
                           const std::vector<vid_t>* frontier_seeds) {
     WallTimer busy;
@@ -1732,6 +1721,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     snap->modularity = r.final_modularity;
     snap->incremental = incremental;
     snap->labels = r.final_labels;
+    for (const LouvainLevel& level : r.levels) snap->tables.push_back(level.tables);
     {
       // Publish side of the snapshot contract (see SessionShared::snap):
       // the fully built snapshot is swapped in and the epoch bumped under

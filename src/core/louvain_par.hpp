@@ -35,25 +35,6 @@ namespace plv::core {
 /// core-level name working.)
 using ParResult = plv::Result;
 
-#if defined(PLV_COMPAT)
-/// Runs the parallel algorithm over `edges` on `opts.nranks` ranks,
-/// returning per-level partitions, modularity, traces, phase timers
-/// (Fig. 8 names) and traffic counters. The rank substrate is
-/// opts.transport (threads by default, forked processes with kProc),
-/// overridable via PLV_TRANSPORT. `n_vertices` may be 0 to size from the
-/// edge list. Deterministic for fixed options and input, on every
-/// transport.
-///
-/// Compat-only (configure with -DPLV_COMPAT=ON): the GraphSource front
-/// door covers this and the other two ingestion modes behind one entry
-/// point, and is where new capabilities (EdgeDelta composition, Session
-/// residency, vertex-following) land.
-[[deprecated(
-    "call plv::louvain(plv::GraphSource::from_edges(edges, n), opts) instead")]]
-[[nodiscard]] ParResult louvain_parallel(const graph::EdgeList& edges, vid_t n_vertices,
-                                         const ParOptions& opts);
-#endif  // PLV_COMPAT
-
 /// SPMD entry point: the body of one rank, running against an existing
 /// communicator (exposed so tests can drive the engine inside their own
 /// Runtime and inspect per-rank behavior). All ranks must pass the same
@@ -70,46 +51,5 @@ using ParResult = plv::Result;
 /// graph (now defined in common/louvain.hpp for the plv::louvain front
 /// door; aliased here for existing call sites).
 using EdgeSliceFn = plv::EdgeSliceFn;
-
-#if defined(PLV_COMPAT)
-/// Distributed ingestion: no rank ever sees the whole edge list. Each
-/// rank generates its slice and streams the In_Table entries to the edge
-/// endpoints' owners through the coalescing aggregators — the way the
-/// paper's largest runs feed 138 G-edge R-MAT/BTER streams. Produces
-/// bit-identical results to a from_edges run on the concatenated slices
-/// (verified by tests/streamed_ingest_test).
-///
-/// Compat-only (-DPLV_COMPAT=ON), superseded by the GraphSource front door.
-[[deprecated(
-    "call plv::louvain(plv::GraphSource::from_stream(slice_of, n), opts) instead")]]
-[[nodiscard]] ParResult louvain_parallel_streamed(const EdgeSliceFn& slice_of,
-                                                  vid_t n_vertices,
-                                                  const ParOptions& opts);
-#endif  // PLV_COMPAT
-
-#if defined(PLV_COMPAT)
-/// Warm start — the payoff of the dual-hash dynamic-graph design the
-/// paper advertises (Sections I-B, VII): when the graph evolves (edges
-/// added/removed), restart refinement from the previous run's partition
-/// instead of from singletons. The In_Table is rebuilt from the new
-/// edges (it is rewritten wholesale every level anyway); the community
-/// state (labels, Σtot, member counts) is seeded from `initial_labels`
-/// (one label per vertex; label values are vertex ids or any ids < n).
-/// Converges in far fewer inner iterations than a cold start when the
-/// change is incremental (tests/warm_start_test). Seeds are normalized
-/// (normalize_warm_labels): uncovered vertices and labels referencing
-/// vanished vertices become singletons instead of rejecting the seed.
-///
-/// Deprecated in favor of the GraphSource front door — and for repeated
-/// updates, plv::Session keeps the fleet and the In_Table resident
-/// instead of rebuilding both per call.
-[[deprecated(
-    "call plv::louvain(plv::GraphSource::from_edges_warm(edges, labels, n), opts) "
-    "instead; for repeated updates use plv::Session")]]
-[[nodiscard]] ParResult louvain_parallel_warm(const graph::EdgeList& edges,
-                                              vid_t n_vertices,
-                                              const std::vector<vid_t>& initial_labels,
-                                              const ParOptions& opts);
-#endif  // PLV_COMPAT
 
 }  // namespace plv::core

@@ -131,7 +131,7 @@ struct RefinePlan {
 
   // Adaptive rebuild trigger: a full rebuild also fires when the
   // accumulated delta churn since the last rebuild — Σ delta_records /
-  // full_prop_records, i.e. fractional Out_Table weight turnover — crosses
+  // In_Table entries, i.e. fractional Out_Table weight turnover — crosses
   // this threshold. Rebuilds react to actual drift pressure instead of a
   // blind iteration count; `full_rebuild_every` stays as the hard upper
   // bound. Derived from allreduced tallies, so every rank fires on the

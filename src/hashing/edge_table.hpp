@@ -159,6 +159,17 @@ class EdgeTable {
     if (needed > slots_.size()) rehash(needed);
   }
 
+  /// Removes all entries and sizes the table for `expected_entries`: the
+  /// current slot array survives (cleared) while reset_keeps() admits its
+  /// capacity, and is otherwise dropped unwalked for a fresh one of the
+  /// capacity reserve() would pick. Unlike clear(), the capacity tracks
+  /// what is about to be stored, not the largest thing ever stored.
+  void reset(std::size_t expected_entries) {
+    const std::size_t target = required_capacity(expected_entries);
+    if (reset_keeps(slots_.size(), target)) return clear();
+    allocate(target);
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
@@ -238,14 +249,21 @@ class EdgeTable {
 
   void grow() { rehash(slots_.empty() ? 16 : slots_.size() * 2); }
 
+  /// Replaces the slot array with an empty one of `capacity` slots (0
+  /// releases the storage; the next insert grows it).
+  void allocate(std::size_t capacity) {
+    assert(capacity == 0 || is_pow2(capacity));
+    slots_ = std::vector<Slot>(capacity);
+    mask_ = capacity == 0 ? 0 : capacity - 1;
+    max_entries_ = static_cast<std::size_t>(max_load_ * static_cast<double>(capacity));
+    if (max_entries_ == 0 && capacity > 0) max_entries_ = 1;
+    size_ = 0;
+  }
+
   void rehash(std::size_t new_capacity) {
     assert(is_pow2(new_capacity));
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
-    mask_ = new_capacity - 1;
-    max_entries_ = static_cast<std::size_t>(max_load_ * static_cast<double>(new_capacity));
-    if (max_entries_ == 0) max_entries_ = 1;
-    size_ = 0;
+    allocate(new_capacity);
     for (const Slot& slot : old) {
       if (slot.key != kEmptyKey) place(slot);
     }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bits.hpp"
@@ -19,6 +20,16 @@ namespace plv::hashing {
 /// H(x) = floor(M/W * ((φ⁻¹ · W · x) mod W)) with W = 2^64 reduces, for M a
 /// power of two, to the top log2(M) bits of (x * K) mod 2^64.
 inline constexpr std::uint64_t kFibonacciMultiplier = 0x9e3779b97f4a7c15ULL;
+
+/// Sizing policy shared by EdgeTable and FlatMap (DESIGN.md decision 17):
+/// reset(expected) keeps a table's slot array while its capacity lies in
+/// [target, kResetSlack * target], `target` being the capacity
+/// reserve(expected) picks, and replaces the array outright otherwise.
+inline constexpr std::size_t kResetSlack = 8;
+
+[[nodiscard]] constexpr bool reset_keeps(std::size_t capacity, std::size_t target) noexcept {
+  return capacity >= target && capacity <= kResetSlack * target;
+}
 
 /// Fibonacci (golden-ratio multiplicative) hash — the paper's choice.
 [[nodiscard]] constexpr std::uint64_t fibonacci_hash(std::uint64_t key,

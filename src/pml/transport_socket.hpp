@@ -95,6 +95,16 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 32);
 
+/// Names a failed socket call by cause: a peer lost without a goodbye is
+/// one event whether its FIN (EOF: "connection closed") or its RST
+/// (ECONNRESET, or EPIPE on a send) arrived, so a reset reads "connection
+/// closed" too, with the errno kept as detail.
+[[nodiscard]] inline std::string lane_error(const char* call, int err) {
+  const std::string what = std::string(call) + ": " + plv::errno_str(err);
+  return err == ECONNRESET || err == EPIPE ? "connection closed (" + what + ")"
+                                           : std::string(call) + " failed: " + plv::errno_str(err);
+}
+
 /// Anything larger than this in a length prefix means a desynced stream
 /// (a torn frame from a dying peer); abort instead of allocating.
 constexpr std::uint64_t kMaxFramePayload = 1ULL << 40;
@@ -431,7 +441,7 @@ class SocketFrameTransport final : public Transport {
 
   /// Describes exactly where peer r's stream tore, so a truncated frame
   /// is diagnosable instead of a bare "peer failed". `cause` is the
-  /// transport-level event ("connection closed", "recv failed: ...").
+  /// transport-level event (see lane_error).
   [[nodiscard]] std::string truncation_detail(int r, const std::string& cause) const {
     const PeerRx& rx = rx_[static_cast<std::size_t>(r)];
     std::string detail = cause;
@@ -489,7 +499,7 @@ class SocketFrameTransport final : public Transport {
         if (k == 0) return close_peer(r, "connection closed");
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (errno == EINTR) continue;
-        return close_peer(r, std::string("recv failed: ") + plv::errno_str(errno));
+        return close_peer(r, lane_error("recv", errno));
       }
       // Payload streaming.
       std::byte* dst = rx.chunk != nullptr ? rx.chunk->raw() : rx.collective.data();
@@ -504,7 +514,7 @@ class SocketFrameTransport final : public Transport {
       if (k == 0) return close_peer(r, "connection closed");
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      return close_peer(r, std::string("recv failed: ") + plv::errno_str(errno));
+      return close_peer(r, lane_error("recv", errno));
     }
   }
 
@@ -648,7 +658,7 @@ class SocketFrameTransport final : public Transport {
       if (k < 0 && errno == EINTR) continue;
       // EPIPE / ECONNRESET / ETIMEDOUT (TCP user-timeout on a vanished
       // host): the peer is gone mid-protocol.
-      close_peer(dest, std::string("send failed: ") + plv::errno_str(errno));
+      close_peer(dest, lane_error("send", errno));
       aborted_ = true;
       throw AbortedError();
     }

@@ -143,7 +143,7 @@ void tune_socket(int fd, int timeout_ms) {
 }
 
 /// Receives exactly `len` bytes before `deadline_ms`; on failure fills
-/// `err` ("connection closed", "recv failed: ...", "timed out").
+/// `err` ("connection closed", detail::lane_error's text, "timed out").
 [[nodiscard]] bool recv_all_deadline(int fd, void* buf, std::size_t len,
                                      std::int64_t deadline_ms, std::string& err) {
   auto* p = static_cast<std::uint8_t*>(buf);
@@ -175,7 +175,7 @@ void tune_socket(int fd, int timeout_ms) {
       return false;
     }
     if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    err = std::string("recv failed: ") + plv::errno_str(errno);
+    err = detail::lane_error("recv", errno);
     return false;
   }
   return true;

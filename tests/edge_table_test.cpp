@@ -42,6 +42,106 @@ TEST(EdgeTable, ClearKeepsCapacity) {
   EXPECT_FALSE(t.contains(5));
 }
 
+// Capacity reserve() picks for `entries` on an empty table: reset()'s target.
+std::size_t target_of(std::size_t entries) {
+  EdgeTable t;
+  t.reserve(entries);
+  return t.capacity();
+}
+
+TEST(EdgeTableReset, ShrinksAnOversizedTableToTarget) {
+  EdgeTable t(10000);
+  for (std::uint64_t i = 0; i < 5000; ++i) t.insert_or_add(i, 1.0);
+  ASSERT_GT(t.capacity(), kResetSlack * target_of(100));
+  t.reset(100);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), target_of(100));
+  EXPECT_FALSE(t.contains(7));
+}
+
+TEST(EdgeTableReset, KeepsCapacityInsideTheBand) {
+  EdgeTable t(1000);
+  const std::size_t cap = t.capacity();
+  for (std::uint64_t i = 0; i < 1000; ++i) t.insert_or_add(i, 1.0);
+  ASSERT_EQ(kResetSlack * target_of(125), cap);  // the band's upper edge
+  t.reset(125);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), cap);
+  t.reset(1000);  // the lower edge
+  EXPECT_EQ(t.capacity(), cap);
+  t.reset(62);  // one power of two past the upper edge
+  EXPECT_EQ(t.capacity(), target_of(62));
+}
+
+TEST(EdgeTableReset, GrowsAnUndersizedTable) {
+  EdgeTable t(10);
+  t.insert_or_add(3, 1.0);
+  t.reset(1000);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), target_of(1000));
+}
+
+TEST(EdgeTableReset, ZeroReleasesStorageAndStaysUsable) {
+  EdgeTable t(100);
+  t.insert_or_add(1, 1.0);
+  t.reset(0);
+  EXPECT_EQ(t.capacity(), 0u);
+  EXPECT_FALSE(t.contains(1));
+  EXPECT_TRUE(t.insert_or_add(1, 2.0));
+  EXPECT_DOUBLE_EQ(t.find(1).value(), 2.0);
+}
+
+TEST(EdgeTableReset, ContributionCountsStartAtZero) {
+  for (const std::size_t expected : {std::size_t{64}, std::size_t{4}}) {  // kept, shrunk
+    EdgeTable t(64);
+    for (int i = 0; i < 3; ++i) t.insert_or_add(pack_key(1, 2), 1.0);
+    ASSERT_EQ(t.contributions(pack_key(1, 2)), 3u);
+    t.reset(expected);
+    EXPECT_EQ(t.contributions(pack_key(1, 2)), 0u);
+    EXPECT_TRUE(t.insert_or_add(pack_key(1, 2), 1.0));
+    EXPECT_EQ(t.contributions(pack_key(1, 2)), 1u);
+    EXPECT_TRUE(t.retract(pack_key(1, 2), 1.0));  // one contribution, not four
+    EXPECT_TRUE(t.empty());
+  }
+}
+
+TEST(EdgeTableReset, CorrectAfterShrink) {
+  EdgeTable t(20000);
+  Xoshiro256 rng(31);
+  for (int i = 0; i < 10000; ++i) t.insert_or_add(rng.next_below(50000), 1.0);
+  t.reset(50);
+  ASSERT_EQ(t.capacity(), target_of(50));
+  // Insert past the reset's estimate (forcing growth), then retract half.
+  std::map<std::uint64_t, std::pair<weight_t, std::uint32_t>> ref;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t key = rng.next_below(400);
+    const weight_t w = static_cast<weight_t>(rng.next_below(4)) + 1.0;
+    t.insert_or_add(key, w);
+    ref[key].first += w;
+    ++ref[key].second;
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t key = rng.next_below(400);
+    auto it = ref.find(key);
+    if (it == ref.end()) continue;
+    const weight_t w = it->second.first / it->second.second;
+    const bool erased = t.retract(key, w);
+    it->second.first -= w;
+    EXPECT_EQ(erased, --it->second.second == 0);
+    if (it->second.second == 0) ref.erase(it);
+  }
+  EXPECT_EQ(t.size(), ref.size());
+  std::map<std::uint64_t, weight_t> seen;
+  t.for_each([&](std::uint64_t key, weight_t w) { seen[key] += w; });
+  ASSERT_EQ(seen.size(), ref.size());
+  for (const auto& [key, entry] : ref) {
+    ASSERT_TRUE(t.find(key).has_value()) << key;
+    EXPECT_NEAR(t.find(key).value(), entry.first, 1e-9);
+    EXPECT_NEAR(seen[key], entry.first, 1e-9);
+    EXPECT_EQ(t.contributions(key), entry.second);
+  }
+}
+
 TEST(EdgeTable, GrowsBeyondInitialReserve) {
   EdgeTable t(4);
   for (std::uint64_t i = 0; i < 10000; ++i) t.insert_or_add(i * 7 + 1, 1.0);

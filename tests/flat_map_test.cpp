@@ -59,6 +59,71 @@ TEST(FlatMap, ClearKeepsCapacity) {
   EXPECT_FALSE(m.contains(50));
 }
 
+// Capacity reserve() picks for `entries` on an empty map: reset()'s target.
+std::size_t target_of(std::size_t entries) {
+  FlatMap<int> m;
+  m.reserve(entries);
+  return m.capacity();
+}
+
+TEST(FlatMapReset, ShrinksAnOversizedMapToTarget) {
+  FlatMap<int> m(10000);
+  for (vid_t k = 1; k <= 5000; ++k) m.ref(k) = 1;
+  ASSERT_GT(m.capacity(), hashing::kResetSlack * target_of(100));
+  m.reset(100);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), target_of(100));
+  EXPECT_FALSE(m.contains(7));
+}
+
+TEST(FlatMapReset, KeepsCapacityInsideTheBand) {
+  FlatMap<int> m(1000);
+  const std::size_t cap = m.capacity();
+  for (vid_t k = 1; k <= 1000; ++k) m.ref(k) = 1;
+  ASSERT_EQ(hashing::kResetSlack * target_of(100), cap);  // the band's upper edge
+  m.reset(100);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), cap);
+  m.reset(1000);  // the lower edge
+  EXPECT_EQ(m.capacity(), cap);
+  m.reset(50);  // one power of two past the upper edge
+  EXPECT_EQ(m.capacity(), target_of(50));
+}
+
+TEST(FlatMapReset, GrowsAnUndersizedMap) {
+  FlatMap<int> m(10);
+  m.ref(3) = 1;
+  m.reset(1000);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), target_of(1000));
+}
+
+TEST(FlatMapReset, CorrectAfterShrink) {
+  FlatMap<int> m(20000);
+  for (vid_t k = 1; k <= 10000; ++k) m.ref(k * 3) = 7;
+  m.reset(20);
+  ASSERT_EQ(m.capacity(), target_of(20));
+  // Insert past the reset's estimate (forcing growth), then erase a third.
+  std::unordered_map<vid_t, int> ref;
+  Xoshiro256 rng(37);
+  for (int i = 0; i < 3000; ++i) {
+    const auto k = static_cast<vid_t>(rng.next_below(500));
+    m.ref(k) += 1;
+    ref[k] += 1;
+  }
+  for (vid_t k = 0; k < 500; k += 3) {
+    EXPECT_EQ(m.erase(k), ref.erase(k) == 1) << k;
+  }
+  EXPECT_EQ(m.size(), ref.size());
+  std::unordered_map<vid_t, int> seen;
+  m.for_each([&](vid_t k, int v) { seen[k] += v; });
+  EXPECT_EQ(seen, ref);
+  for (const auto& [k, v] : ref) {
+    ASSERT_NE(m.find(k), nullptr) << k;
+    EXPECT_EQ(*m.find(k), v);
+  }
+}
+
 TEST(FlatMap, ForEachVisitsEveryEntryOnce) {
   FlatMap<int> m;
   int expected_sum = 0;
