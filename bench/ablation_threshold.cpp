@@ -26,9 +26,9 @@ RunStats run(const plv::graph::EdgeList& edges, plv::vid_t n,
              plv::core::ThresholdModel model, double p1, double p2) {
   plv::core::ParOptions opts;
   opts.nranks = 4;
-  opts.threshold = model;
-  opts.p1 = p1;
-  opts.p2 = p2;
+  opts.refine.threshold = model;
+  opts.refine.p1 = p1;
+  opts.refine.p2 = p2;
   const auto r = plv::louvain(plv::GraphSource::from_edges(edges, n), opts);
   RunStats s{r.final_modularity, r.num_levels(), 0, 0.0};
   for (const auto& level : r.levels) {

@@ -52,8 +52,8 @@ int main() {
       plv::core::ParOptions opts;
       opts.nranks = 4;
       if (!heuristic) {
-        opts.threshold = plv::core::ThresholdModel::kNone;
-        opts.max_inner_iterations = 24;  // naive may oscillate; cap it
+        opts.refine.threshold = plv::core::ThresholdModel::kNone;
+        opts.refine.max_inner_iterations = 24;  // naive may oscillate; cap it
       }
       const auto r = plv::louvain(plv::GraphSource::from_edges(graph.edges, graph.n), opts);
       Run run{heuristic ? "parallel+heuristic" : "parallel-naive", {}, {},

@@ -82,9 +82,9 @@ int main() {
   // rebuild-every-iteration propagation, same graph and (bit-compatible)
   // trajectory.
   plv::core::ParOptions legacy = opts;
-  legacy.full_rebuild_every = 1;
+  legacy.refine.full_rebuild_every = 1;
   const auto r_legacy = plv::louvain(plv::GraphSource::from_edges(g.edges, p.n), legacy);
-  auto total_prop_records = [](const plv::core::ParResult& res) {
+  auto total_prop_records = [](const plv::Result& res) {
     std::uint64_t sum = 0;
     for (const auto& level : res.levels) {
       for (std::uint64_t recs : level.trace.prop_records) sum += recs;
@@ -95,7 +95,7 @@ int main() {
   plv::TextTable ab({"variant", "REFINE-s", "STATE PROPAGATION-s", "prop-records",
                      "records-sent-total"});
   ab.row()
-      .add("delta (rebuild every " + std::to_string(opts.full_rebuild_every) + ")")
+      .add("delta (rebuild every " + std::to_string(opts.refine.full_rebuild_every) + ")")
       .add(r.timers.get(plv::phase::kRefine))
       .add(r.timers.get(plv::phase::kStatePropagation))
       .add(total_prop_records(r))

@@ -19,7 +19,7 @@
 
 namespace {
 
-double first_level_seconds(const plv::core::ParResult& r) {
+double first_level_seconds(const plv::Result& r) {
   return r.levels.empty() ? 0.0 : r.levels.front().seconds;
 }
 

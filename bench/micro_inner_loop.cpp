@@ -2,7 +2,7 @@
 // maintenance (delta propagation + flat hot-path tables) vs the legacy
 // rebuild-every-iteration STATE PROPAGATION (google-benchmark).
 //
-// One benchmark, one knob: Arg is ParOptions::full_rebuild_every (1 =
+// One benchmark, one knob: Arg is RefinePlan::full_rebuild_every (1 =
 // legacy full rebuild each iteration, 0 = never rebuild, 4 = hybrid
 // cadence), so a single binary produces the A/B/n comparison and the CI
 // bench-smoke job publishes all variants from one run. The paths are
@@ -25,19 +25,11 @@ const plv::graph::EdgeList& workload() {
   return g.edges;
 }
 
-// Small, synchronization-bound workload for the overlap A/B: per-iteration
-// compute is tiny, so refine time is dominated by the per-iteration
-// synchronization structure the overlap pipeline restructures.
-const plv::graph::EdgeList& small_workload() {
-  static const auto g = plv::gen::lfr({.n = 500, .mu = 0.3, .seed = 71});
-  return g.edges;
-}
-
 void BM_RefineInnerLoop(benchmark::State& state) {
   const int cadence = static_cast<int>(state.range(0));
   plv::core::ParOptions opts;
   opts.nranks = 4;
-  opts.full_rebuild_every = cadence;
+  opts.refine.full_rebuild_every = cadence;
 
   double refine_s = 0.0;
   double prop_s = 0.0;
@@ -57,54 +49,6 @@ void BM_RefineInnerLoop(benchmark::State& state) {
   state.counters["refine_s"] = refine_s * inv_runs;
   state.counters["prop_s"] = prop_s * inv_runs;
   state.counters["prop_records"] = static_cast<double>(prop_records) * inv_runs;
-}
-
-// Overlap A/B: the overlapped refine pipeline (streaming exchanges, fused
-// Σin scan, piggybacked tally, merged reductions) against the phased
-// baseline. Both variants run interleaved inside one benchmark session
-// (per ROADMAP's noisy-CI note: same process, same thermal/cache state),
-// and the two pipelines are bit-identical on this input, so every run
-// performs the same label trajectory — differences are pure
-// synchronization and scan cost. Counters publish per-phase seconds plus
-// collective-round counts (total and per refine iteration) into the
-// bench-smoke JSON.
-void BM_OverlapAB(benchmark::State& state) {
-  plv::core::ParOptions opts;
-  opts.nranks = static_cast<int>(state.range(1));
-  opts.overlap = state.range(0) != 0;
-  const bool small = state.range(2) != 0;
-  const auto& edges = small ? small_workload() : workload();
-  const plv::vid_t n = small ? 500 : 4000;
-
-  double refine_s = 0.0;
-  double find_s = 0.0;
-  double update_s = 0.0;
-  double prop_s = 0.0;
-  std::uint64_t collectives = 0;
-  std::uint64_t iterations = 0;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    const auto r = plv::louvain(plv::GraphSource::from_edges(edges, n), opts);
-    benchmark::DoNotOptimize(r.final_modularity);
-    refine_s += r.timers.get(plv::phase::kRefine);
-    find_s += r.timers.get(plv::phase::kFindBestCommunity);
-    update_s += r.timers.get(plv::phase::kUpdateCommunity);
-    prop_s += r.timers.get(plv::phase::kStatePropagation);
-    collectives += r.traffic.collectives;
-    for (const auto& level : r.levels) {
-      iterations += level.trace.modularity.size();
-    }
-    ++runs;
-  }
-  const double inv_runs = runs > 0 ? 1.0 / static_cast<double>(runs) : 0.0;
-  state.counters["refine_s"] = refine_s * inv_runs;
-  state.counters["find_s"] = find_s * inv_runs;
-  state.counters["update_s"] = update_s * inv_runs;
-  state.counters["prop_s"] = prop_s * inv_runs;
-  state.counters["collectives"] = static_cast<double>(collectives) * inv_runs;
-  state.counters["collectives_per_iter"] =
-      iterations > 0 ? static_cast<double>(collectives) / static_cast<double>(iterations)
-                     : 0.0;
 }
 
 // Fig. 7-scale workload for the frontier A/B: the scan-reduction
@@ -185,17 +129,6 @@ void BM_FrontierAB(benchmark::State& state) {
 // Arg = full_rebuild_every: 1 = legacy full rebuild, 0 = pure delta,
 // 4 = hybrid cadence.
 BENCHMARK(BM_RefineInnerLoop)->Arg(1)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Args = {ParOptions::overlap (0 = phased baseline, 1 = overlapped
-// pipeline), nranks}.
-BENCHMARK(BM_OverlapAB)
-    ->Args({0, 4, 0})
-    ->Args({1, 4, 0})
-    ->Args({0, 4, 1})
-    ->Args({1, 4, 1})
-    ->Args({0, 8, 1})
-    ->Args({1, 8, 1})
-    ->Unit(benchmark::kMillisecond);
 
 // Args = {heuristics (0 = defaults, 1 = RefinePlan::heuristics()), nranks}.
 BENCHMARK(BM_FrontierAB)

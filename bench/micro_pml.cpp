@@ -129,9 +129,9 @@ BENCHMARK(BM_AggregatorThroughput)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 // trivial topology, so every collective crosses the group boundary for
 // each remote rank); Arg 1 runs the two-level path (intra-group combine
 // at the leader, leaders-only cross phase, broadcast down). Both variants
-// run in one benchmark session per the BM_OverlapAB discipline — same
-// process, same thermal/cache state — so the latency delta is the
-// collective discipline alone. The inter-group counter is rank 0's own
+// run interleaved in one benchmark session — same process, same
+// thermal/cache state — so the latency delta is the collective
+// discipline alone. The inter-group counter is rank 0's own
 // view (rank 0 always runs in the calling process): 6 boundary crossings
 // per collective flat vs 3 (one per peer leader) hierarchical.
 void BM_HierCollectivesAB(benchmark::State& state) {

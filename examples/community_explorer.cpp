@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
 
   plv::core::ParOptions opts;
   opts.nranks = ranks;
-  opts.resolution = cli.get_double("resolution", 1.0);
-  const plv::core::ParResult result = plv::louvain(plv::GraphSource::from_edges(edges, 0), opts);
+  opts.refine.resolution = cli.get_double("resolution", 1.0);
+  const plv::Result result = plv::louvain(plv::GraphSource::from_edges(edges, 0), opts);
 
   plv::TextTable table({"level", "vertices", "communities", "modularity",
                         "evolution-ratio", "inner-iters", "seconds"});

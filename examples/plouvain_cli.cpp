@@ -90,7 +90,7 @@ plv::core::ParOptions par_opts(const plv::Cli& cli) {
   // scaling — RefinePlan::heuristics()); the default keeps every heuristic
   // off, i.e. the paper-faithful Eq. 7 refine loop.
   if (cli.get_bool("heuristics", false)) opts.refine = plv::core::RefinePlan::heuristics();
-  opts.resolution = cli.get_double("resolution", 1.0);
+  opts.refine.resolution = cli.get_double("resolution", 1.0);
   opts.transport = plv::pml::parse_transport_kind(cli.get_string("transport", "thread"));
   // --validate turns the pml protocol checker on even in optimized
   // builds; Debug builds default to on regardless (PLV_VALIDATE=0 turns

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // 3. Parallel Louvain on `ranks` ranks (threads exchanging messages).
   plv::core::ParOptions opts;
   opts.nranks = ranks;
-  const plv::core::ParResult par = plv::louvain(plv::GraphSource::from_edges(edges, 0), opts);
+  const plv::Result par = plv::louvain(plv::GraphSource::from_edges(edges, 0), opts);
   std::cout << "parallel (" << ranks << " ranks): Q = " << par.final_modularity
             << ", communities = "
             << plv::metrics::count_communities(par.final_labels) << ", levels = "

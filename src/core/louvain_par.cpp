@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/flat_map.hpp"
 #include "common/histogram.hpp"
@@ -42,13 +44,12 @@ struct PropMsg {
 inline constexpr vid_t kRetractBit = 0x80000000u;
 
 /// UPDATE: Σtot / member-count delta for community c, applied by owner(c).
-/// On the overlapped pipeline the same record doubles as the global move
-/// tally: each rank closes the streaming delta exchange by sending every
-/// rank one record with c == kInvalidVid (never a real community id),
-/// dcount = its local move count and dtot = its local delta-record count
-/// (exact in a double far beyond any reachable table size). Receivers sum
-/// the sentinels instead of running a separate MoveTally allreduce — one
-/// collective round gone per iteration.
+/// The same record doubles as the global move tally: each rank closes the
+/// streaming delta exchange by sending every rank one record with
+/// c == kInvalidVid (never a real community id), dcount = its local move
+/// count and dtot = its local delta-record count (exact in a double far
+/// beyond any reachable table size). Receivers sum the sentinels, so the
+/// tally needs no collective round of its own.
 struct DeltaMsg {
   vid_t c;
   std::int32_t dcount;
@@ -222,8 +223,18 @@ class RankEngine {
   /// every In_Table entry is routed to its owner through the aggregators
   /// (records written straight into pooled chunks; the drain blocks on the
   /// mailbox instead of spinning on collectives), so no rank ever
-  /// materializes the global edge list.
+  /// materializes the global edge list. A slice endpoint outside [0, n)
+  /// throws before any record ships: ownership and local indices are
+  /// only defined inside the vertex range.
   void init_from_slice(const graph::EdgeList& slice, vid_t n) {
+    for (const Edge& e : slice) {
+      if (e.u >= n || e.v >= n) {
+        throw std::invalid_argument("louvain: stream slice edge (" + std::to_string(e.u) +
+                                    ", " + std::to_string(e.v) +
+                                    ") names a vertex outside n_vertices = " +
+                                    std::to_string(n));
+      }
+    }
     part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
@@ -311,8 +322,8 @@ class RankEngine {
     vid_t to;
   };
 
-  /// Global per-iteration tally, allreduced so every rank takes the same
-  /// full-vs-delta propagation decision.
+  /// Global per-iteration tally, summed from the delta exchange's sentinels
+  /// so every rank takes the same full-vs-delta propagation decision.
   struct MoveTally {
     std::uint64_t moves{0};
     std::uint64_t delta_records{0};  // records a delta propagation would ship
@@ -642,11 +653,10 @@ class RankEngine {
   /// used to skip it now accumulates it — compute_sigma_in's second full
   /// scan is gone.
   ///
-  /// With opts_.overlap the request/reply rides the streaming plane: the
-  /// Σtot requests are on the wire while this rank runs the stay-score
-  /// initialization (the Out_Table lookups, the σ-independent half), and
-  /// no collective rendezvous happens at all. Both modes execute the same
-  /// arithmetic in the same order; only the transport pattern differs.
+  /// The request/reply rides the streaming plane: the Σtot requests are on
+  /// the wire while this rank runs the stay-score initialization (the
+  /// Out_Table lookups, the σ-independent half), and no collective
+  /// rendezvous happens at all.
   void find_best_community() {
     apply_sigma_request_changes();
     const auto nranks = static_cast<std::size_t>(comm_.nranks());
@@ -709,51 +719,35 @@ class RankEngine {
     std::size_t total_reqs = 0;
     for (const auto& reqs : sigma_reqs_) total_reqs += reqs.size();
 
-    if (opts_.overlap) {
-      if (req_in_.size() != nranks) req_in_.resize(nranks);
-      for (auto& reqs : req_in_) reqs.clear();
-      if (replies_.size() != nranks) replies_.resize(nranks);
-      // Requests stream to the owners while we run the stay-score loop.
-      comm_.exchange_streaming<vid_t>(
-          sigma_reqs_,
-          [&](int src, std::span<const vid_t> reqs) {
-            auto& dst = req_in_[static_cast<std::size_t>(src)];
-            dst.insert(dst.end(), reqs.begin(), reqs.end());
-          },
-          stay_init);
-      for (std::size_t r = 0; r < nranks; ++r) build_reply(req_in_[r], replies_[r]);
-      sigma_cache_.reset(total_reqs + 1);
-      // Replies from owner r answer sigma_reqs_[r] in order; a per-source
-      // cursor keeps the pairing correct across chunk boundaries.
-      reply_cursor_.assign(nranks, 0);
-      comm_.exchange_streaming<SigmaRep>(replies_, [&](int src,
-                                                       std::span<const SigmaRep> vals) {
-        const auto& reqs = sigma_reqs_[static_cast<std::size_t>(src)];
-        auto& cur = reply_cursor_[static_cast<std::size_t>(src)];
-        for (const SigmaRep& v : vals) {
-          assert(cur < reqs.size());
-          sigma_cache_.ref(reqs[cur++]) = v;
-        }
-      });
-    } else {
-      const auto incoming = comm_.exchange_grouped(sigma_reqs_);
-      std::vector<std::vector<SigmaRep>> replies(nranks);
-      for (std::size_t r = 0; r < nranks; ++r) build_reply(incoming[r], replies[r]);
-      const auto answered = comm_.exchange_grouped(replies);
-      sigma_cache_.reset(total_reqs + 1);
-      for (std::size_t r = 0; r < nranks; ++r) {
-        const auto& reqs = sigma_reqs_[r];
-        const auto& vals = answered[r];
-        assert(reqs.size() == vals.size());
-        for (std::size_t i = 0; i < reqs.size(); ++i) sigma_cache_.ref(reqs[i]) = vals[i];
+    if (req_in_.size() != nranks) req_in_.resize(nranks);
+    for (auto& reqs : req_in_) reqs.clear();
+    if (replies_.size() != nranks) replies_.resize(nranks);
+    // Requests stream to the owners while we run the stay-score loop.
+    comm_.exchange_streaming<vid_t>(
+        sigma_reqs_,
+        [&](int src, std::span<const vid_t> reqs) {
+          auto& dst = req_in_[static_cast<std::size_t>(src)];
+          dst.insert(dst.end(), reqs.begin(), reqs.end());
+        },
+        stay_init);
+    for (std::size_t r = 0; r < nranks; ++r) build_reply(req_in_[r], replies_[r]);
+    sigma_cache_.reset(total_reqs + 1);
+    // Replies from owner r answer sigma_reqs_[r] in order; a per-source
+    // cursor keeps the pairing correct across chunk boundaries.
+    reply_cursor_.assign(nranks, 0);
+    comm_.exchange_streaming<SigmaRep>(replies_, [&](int src,
+                                                     std::span<const SigmaRep> vals) {
+      const auto& reqs = sigma_reqs_[static_cast<std::size_t>(src)];
+      auto& cur = reply_cursor_[static_cast<std::size_t>(src)];
+      for (const SigmaRep& v : vals) {
+        assert(cur < reqs.size());
+        sigma_cache_.ref(reqs[cur++]) = v;
       }
-      stay_init();
-    }
+    });
 
-    // Fold the σ term into the stay score (identical arithmetic on both
-    // paths: (w_stay) − γ(σ − k)k/2m, left-associated as before). γ is
-    // hoisted once for the two hot loops below.
-    const double gamma = opts_.resolution;
+    // Fold the σ term into the stay score: (w_stay) − γ(σ − k)k/2m,
+    // left-associated. γ is hoisted once for the two hot loops below.
+    const double gamma = opts_.refine.resolution;
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- O(1)/vertex σ fold; the skip below prunes the lookups
       if (restricted_ && active_[l] == 0) continue;  // stay score unused
       const SigmaRep* own = sigma_cache_.find(label_[l]);
@@ -859,7 +853,8 @@ class RankEngine {
   /// walking the full gain vector a second time; the histogram and the
   /// reduction scratch are persistent too — no steady-state allocation.
   [[nodiscard]] double gain_cutoff(int iter, double& eps_out) {
-    const double eps = epsilon_of(opts_.threshold, opts_.p1, opts_.p2, iter);
+    const RefinePlan& plan = opts_.refine;
+    const double eps = epsilon_of(plan.threshold, plan.p1, plan.p2, iter);
     eps_out = eps;
     double local_max = 0.0;
     pos_gains_.clear();
@@ -880,7 +875,7 @@ class RankEngine {
     if (agg.count == 0 || agg.max <= 0.0) return -1.0;  // signals "no mover"
     if (eps >= 1.0) return 0.0;                         // all positive gains move
 
-    hist_.reset(0.0, agg.max, opts_.gain_histogram_bins);
+    hist_.reset(0.0, agg.max, plan.gain_histogram_bins);
     for (double g : pos_gains_) hist_.add(g);
     comm_.allreduce_vec_sum(hist_.counts(), hist_scratch_);
 
@@ -931,41 +926,30 @@ class RankEngine {
             2 * (adj_start_[static_cast<std::size_t>(l) + 1] - adj_start_[l]);
       }
     }
-    if (opts_.overlap) {
-      // The global move tally piggybacks on the delta exchange itself:
-      // every rank appends one sentinel (c == kInvalidVid) per peer with
-      // its local counts, and the ordered drain sums them — no separate
-      // MoveTally allreduce round. Both counts are integers, exact in a
-      // double far beyond any reachable size.
-      for (auto& dest : deltas) {
-        dest.push_back(DeltaMsg{kInvalidVid, static_cast<std::int32_t>(local.moves),
-                                static_cast<weight_t>(local.delta_records)});
-      }
-      MoveTally global;
-      comm_.exchange_streaming<DeltaMsg>(
-          deltas, [&](int /*src*/, std::span<const DeltaMsg> msgs) {
-            for (const DeltaMsg& d : msgs) {
-              if (d.c == kInvalidVid) {
-                global.moves += static_cast<std::uint64_t>(d.dcount);
-                global.delta_records += static_cast<std::uint64_t>(d.dtot);
-                continue;
-              }
-              CommInfo& info = comms_.ref(d.c);
-              info.sigma_tot += d.dtot;
-              info.members += d.dcount;
+    // The global move tally piggybacks on the delta exchange itself:
+    // every rank appends one sentinel (c == kInvalidVid) per peer with
+    // its local counts, and the ordered drain sums them — no separate
+    // allreduce round. Both counts are integers, exact in a double far
+    // beyond any reachable size.
+    for (auto& dest : deltas) {
+      dest.push_back(DeltaMsg{kInvalidVid, static_cast<std::int32_t>(local.moves),
+                              static_cast<weight_t>(local.delta_records)});
+    }
+    MoveTally global;
+    comm_.exchange_streaming<DeltaMsg>(
+        deltas, [&](int /*src*/, std::span<const DeltaMsg> msgs) {
+          for (const DeltaMsg& d : msgs) {
+            if (d.c == kInvalidVid) {
+              global.moves += static_cast<std::uint64_t>(d.dcount);
+              global.delta_records += static_cast<std::uint64_t>(d.dtot);
+              continue;
             }
-          });
-      return global;
-    }
-    const auto incoming = comm_.exchange(deltas);
-    for (const DeltaMsg& d : incoming) {
-      CommInfo& info = comms_.ref(d.c);
-      info.sigma_tot += d.dtot;
-      info.members += d.dcount;
-    }
-    return comm_.allreduce(local, [](const MoveTally& a, const MoveTally& b) {
-      return MoveTally{a.moves + b.moves, a.delta_records + b.delta_records};
-    });
+            CommInfo& info = comms_.ref(d.c);
+            info.sigma_tot += d.dtot;
+            info.members += d.dcount;
+          }
+        });
+    return global;
   }
 
   // -- Σin + modularity (Algorithm 4 lines 18-25) ----------------------------
@@ -982,15 +966,10 @@ class RankEngine {
     sin_acc_.for_each([&](vid_t c, weight_t& w) {
       sin_out_[static_cast<std::size_t>(part_.owner(c))].push_back(SinMsg{c, 0, w});
     });
-    if (opts_.overlap) {
-      comm_.exchange_streaming<SinMsg>(
-          sin_out_, [&](int /*src*/, std::span<const SinMsg> msgs) {
-            for (const SinMsg& m : msgs) comms_.ref(m.c).sigma_in += m.w;
-          });
-    } else {
-      const auto incoming = comm_.exchange(sin_out_);
-      for (const SinMsg& m : incoming) comms_.ref(m.c).sigma_in += m.w;
-    }
+    comm_.exchange_streaming<SinMsg>(
+        sin_out_, [&](int /*src*/, std::span<const SinMsg> msgs) {
+          for (const SinMsg& m : msgs) comms_.ref(m.c).sigma_in += m.w;
+        });
   }
 
   /// This rank's modularity contribution (sum over owned communities);
@@ -1001,7 +980,7 @@ class RankEngine {
     comms_.for_each([&](vid_t, const CommInfo& info) {
       if (info.members <= 0) return;
       const double tot = info.sigma_tot / two_m_;
-      q_local += info.sigma_in / two_m_ - opts_.resolution * tot * tot;
+      q_local += info.sigma_in / two_m_ - opts_.refine.resolution * tot * tot;
     });
     return q_local;
   }
@@ -1022,6 +1001,7 @@ class RankEngine {
   }
 
   double refine(LouvainLevel& level, double q_initial) {
+    const RefinePlan& plan = opts_.refine;
     double prev_q = q_initial;
     int stagnant = 0;
     level_moves_ = 0;
@@ -1031,14 +1011,14 @@ class RankEngine {
     // sub-tolerance shuffling can't keep coarse levels iterating. 0 when
     // scaling is off — the cutoff is then exactly the histogram's.
     const double gain_floor =
-        opts_.refine.initial_tolerance > 0.0 && n_level_ > 0
+        plan.initial_tolerance > 0.0 && n_level_ > 0
             ? level_tol / static_cast<double>(n_level_)
             : 0.0;
     // The retraction encoding borrows PropMsg::c's top bit, so the delta
     // path needs community ids below 2^31 — always true for vid_t levels
     // in practice, but guard anyway so correctness never hinges on it.
     const bool delta_possible = n_level_ < kRetractBit;
-    for (int iter = 1; iter <= opts_.max_inner_iterations; ++iter) {
+    for (int iter = 1; iter <= plan.max_inner_iterations; ++iter) {
       WallTimer t;
       find_best_community();
       const std::uint64_t scanned_local = scanned_;
@@ -1080,10 +1060,10 @@ class RankEngine {
       // what bounds both the FP drift and the pruning approximation.
       const bool rebuild_due =
           !pinned_ &&
-          ((opts_.full_rebuild_every > 0 &&
-            iters_since_rebuild_ + 1 >= opts_.full_rebuild_every) ||
-           (opts_.adaptive_rebuild_drift > kAdaptiveRebuildOff &&
-            drift_accum_ + churn >= opts_.adaptive_rebuild_drift));
+          ((plan.full_rebuild_every > 0 &&
+            iters_since_rebuild_ + 1 >= plan.full_rebuild_every) ||
+           (plan.adaptive_rebuild_drift > kAdaptiveRebuildOff &&
+            drift_accum_ + churn >= plan.adaptive_rebuild_drift));
       const bool delta_wins =
           delta_possible &&
           (pinned_ || moved.delta_records < tables_.in_entries);
@@ -1100,49 +1080,21 @@ class RankEngine {
       timers_.add(phase::kStatePropagation, prop_s);
 
       exchange_sigma_in();
-      double q;
-      std::uint64_t prop_sent_global;
-      std::uint64_t scanned_global;
-      if (opts_.overlap) {
-        // One combined reduction closes the iteration: modularity and the
-        // trace's propagation + scan volumes share a single collective
-        // round. The q sum visits ranks in ascending order, exactly like
-        // allreduce_sum, so the value is bitwise the phased one.
-        struct IterStats {
-          double q;
-          std::uint64_t prop_sent;
-          std::uint64_t scanned;
-        };
-        const auto stats = comm_.allreduce(
-            IterStats{local_modularity(), prop_sent, scanned_local},
-            [](const IterStats& a, const IterStats& b) {
-              return IterStats{a.q + b.q, a.prop_sent + b.prop_sent,
-                               a.scanned + b.scanned};
-            });
-        q = stats.q;
-        prop_sent_global = stats.prop_sent;
-        scanned_global = stats.scanned;
-      } else {
-        q = comm_.allreduce_sum(local_modularity());
-        if (opts_.record_trace) {
-          // Integer-sum reduction of the trace volumes — still one
-          // collective round, matching the overlap path's sums exactly.
-          struct TraceStats {
-            std::uint64_t prop_sent;
-            std::uint64_t scanned;
-          };
-          const auto stats = comm_.allreduce(
-              TraceStats{prop_sent, scanned_local},
-              [](const TraceStats& a, const TraceStats& b) {
-                return TraceStats{a.prop_sent + b.prop_sent, a.scanned + b.scanned};
-              });
-          prop_sent_global = stats.prop_sent;
-          scanned_global = stats.scanned;
-        } else {
-          prop_sent_global = 0;
-          scanned_global = 0;
-        }
-      }
+      // One combined reduction closes the iteration: modularity and the
+      // trace's propagation + scan volumes share a single collective
+      // round. The q sum visits ranks in ascending order, exactly like
+      // allreduce_sum.
+      struct IterStats {
+        double q;
+        std::uint64_t prop_sent;
+        std::uint64_t scanned;
+      };
+      const auto stats = comm_.allreduce(
+          IterStats{local_modularity(), prop_sent, scanned_local},
+          [](const IterStats& a, const IterStats& b) {
+            return IterStats{a.q + b.q, a.prop_sent + b.prop_sent, a.scanned + b.scanned};
+          });
+      const double q = stats.q;
 
       if (opts_.record_trace) {
         level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
@@ -1153,8 +1105,8 @@ class RankEngine {
         level.trace.find_seconds.push_back(find_s);
         level.trace.update_seconds.push_back(update_s);
         level.trace.prop_seconds.push_back(prop_s);
-        level.trace.prop_records.push_back(prop_sent_global);
-        level.trace.scanned_vertices.push_back(scanned_global);
+        level.trace.prop_records.push_back(stats.prop_sent);
+        level.trace.scanned_vertices.push_back(stats.scanned);
       }
 
       // One stagnant iteration can just mean a low-ε round; require a
@@ -1163,7 +1115,7 @@ class RankEngine {
       // level's scaled tolerance instead of the final one.
       stagnant = q - prev_q < level_tol ? stagnant + 1 : 0;
       prev_q = q;  // report the Q of the labels we actually hold
-      if (moved.moves == 0 || stagnant >= opts_.stagnation_window) break;
+      if (moved.moves == 0 || stagnant >= plan.stagnation_window) break;
     }
     return prev_q;
   }
@@ -1220,8 +1172,8 @@ class RankEngine {
     agg.flush_all_final();
     // Ordered streaming drain: chunks are consumed as they arrive but
     // applied in ascending source-rank order, so the next level's In_Table
-    // layout is arrival-timing independent (and identical across overlap
-    // modes and transports).
+    // layout is arrival-timing independent (and identical across
+    // transports).
     comm_.drain_streaming_finalized<EdgeMsg>([&](int /*src*/,
                                                  std::span<const EdgeMsg> msgs) {
       for (const EdgeMsg& m : msgs) {
@@ -1408,7 +1360,7 @@ FoldPlan plan_vertex_following(const graph::EdgeList& edges, vid_t n) {
 /// Hierarchy::tree drops the now-empty nodes. The reported modularity
 /// needs no correction — the fold preserves it exactly (see
 /// plan_vertex_following).
-void unfold_vertex_following(const FoldPlan& plan, ParResult& result) {
+void unfold_vertex_following(const FoldPlan& plan, Result& result) {
   if (!plan.any || result.levels.empty()) return;
   auto& l0 = result.levels.front();
   for (vid_t v = 0; v < static_cast<vid_t>(plan.anchor.size()); ++v) {
@@ -1421,9 +1373,9 @@ void unfold_vertex_following(const FoldPlan& plan, ParResult& result) {
 
 /// Shared post-ingestion driver: runs the level loop on an initialized
 /// engine and assembles the (rank-identical) result.
-ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOptions& opts,
+Result run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOptions& opts,
                      WallTimer& busy) {
-  ParResult result;
+  Result result;
   result.transport = comm.transport_name();
   result.final_labels.resize(n);
   if (engine.two_m() <= 0) {
@@ -1446,7 +1398,7 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
   };
 
   double prev_q = -2.0;  // below any attainable modularity
-  for (int level_idx = 0; level_idx < opts.max_levels; ++level_idx) {
+  for (int level_idx = 0; level_idx < opts.refine.max_levels; ++level_idx) {
     bool compressed = false;
     const TrafficStats level_start = comm.stats();
     LouvainLevel level = engine.run_level(compressed);
@@ -1455,7 +1407,7 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
     // level's delta — one rank-identical collective of skew.)
     level.traffic = sum_traffic(traffic_delta(comm.stats(), level_start));
 
-    const bool improved = level.modularity - prev_q >= opts.q_tolerance;
+    const bool improved = level.modularity - prev_q >= opts.refine.q_tolerance;
     if (!improved && level_idx > 0) break;
 
     for (vid_t v = 0; v < n; ++v) {
@@ -1487,29 +1439,13 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
   return result;
 }
 
-}  // namespace
-
-ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges, vid_t n_vertices,
-                       const ParOptions& opts) {
-  opts.validate();
-  const vid_t n = std::max(n_vertices, edges.vertex_count());
-  if (n == 0) {
-    ParResult empty;
-    empty.transport = comm.transport_name();
-    return empty;
-  }
-  WallTimer busy;
-  RankEngine engine(comm, opts);
-  engine.init_from_edges(edges, n);
-  return run_levels(comm, engine, n, opts, busy);
-}
-
-// ---------------------------------------------------------------------------
-// One-shot launch bodies behind the plv::louvain front door.
-// ---------------------------------------------------------------------------
-
-static ParResult parallel_impl(const graph::EdgeList& edges, vid_t n_vertices,
-                               const ParOptions& opts) {
+/// The one fleet launch behind plv::louvain. Validates the options,
+/// resolves the transport, then runs on every rank: `init` builds level 0
+/// on a fresh engine (from the shared edge list, plus a warm seed, or from
+/// the rank's stream slice), then the level loop. Rank 0's result is
+/// handed back; an empty graph returns without spawning a fleet.
+Result launch_fleet(vid_t n, const ParOptions& opts,
+                    const std::function<void(pml::Comm&, RankEngine&)>& init) {
   opts.validate();
   const pml::TransportKind kind = pml::resolve_transport(opts.transport);
   // Rank 0 (a fleet thread under the thread transport) hands its result
@@ -1517,28 +1453,20 @@ static ParResult parallel_impl(const graph::EdgeList& edges, vid_t n_vertices,
   // though Runtime::run's join already orders it.
   struct {
     plv::Mutex mu;
-    ParResult value PLV_GUARDED_BY(mu);
+    Result value PLV_GUARDED_BY(mu);
   } result;
   {
     plv::MutexLock lock(result.mu);
     result.value.transport = pml::transport_kind_name(kind);
-  }
-  // Vertex-following is a whole-graph preprocessing pass, so it lives on
-  // the launch side: the fleet runs the folded list (against the original
-  // vertex count — folded vertices stay as isolated singletons, keeping
-  // ids and ownership stable) and the unfold rewrites the result after
-  // the ranks have joined.
-  const vid_t n = std::max(n_vertices, edges.vertex_count());
-  FoldPlan fold;
-  const graph::EdgeList* run_edges = &edges;
-  if (opts.refine.vertex_following && n > 0) {
-    fold = plan_vertex_following(edges, n);
-    if (fold.any) run_edges = &fold.edges;
+    if (n == 0) return std::move(result.value);
   }
   pml::Runtime::run(
       opts.nranks,
       [&](pml::Comm& comm) {
-        ParResult local = louvain_rank(comm, *run_edges, n, opts);
+        WallTimer busy;
+        RankEngine engine(comm, opts);
+        init(comm, engine);
+        Result local = run_levels(comm, engine, n, opts, busy);
         if (comm.rank() == 0) {
           plv::MutexLock lock(result.mu);
           result.value = std::move(local);
@@ -1547,32 +1475,26 @@ static ParResult parallel_impl(const graph::EdgeList& edges, vid_t n_vertices,
       kind, pml::resolve_validate(opts.validate_transport), opts.tcp_options(),
       opts.hybrid_options());
   plv::MutexLock lock(result.mu);
-  unfold_vertex_following(fold, result.value);
   return std::move(result.value);
 }
 
-static ParResult warm_impl(const graph::EdgeList& edges, vid_t n_vertices,
-                           const std::vector<vid_t>& initial_labels,
-                           const ParOptions& opts) {
-  opts.validate();
-  const pml::TransportKind kind = pml::resolve_transport(opts.transport);
+/// Cold (no `initial_labels`) or warm one-shot run over a shared edge list.
+/// Vertex-following is a whole-graph preprocessing pass, so it lives on the
+/// launch side: the fleet runs the folded list (against the original
+/// vertex count — folded vertices stay as isolated singletons, keeping ids
+/// and ownership stable) and the unfold rewrites the result after the
+/// ranks have joined.
+Result edges_impl(const graph::EdgeList& edges, vid_t n_vertices,
+                  const std::vector<vid_t>* initial_labels, const ParOptions& opts) {
   const vid_t n = std::max(n_vertices, edges.vertex_count());
-  struct {
-    plv::Mutex mu;
-    ParResult value PLV_GUARDED_BY(mu);
-  } result;
-  {
-    plv::MutexLock lock(result.mu);
-    result.value.transport = pml::transport_kind_name(kind);
-    if (n == 0) return std::move(result.value);
-  }
   // Seeds taken before an EdgeDelta stay usable after it: vertices the
   // seed does not cover and labels referencing vanished vertices become
   // singletons instead of rejecting the whole seed.
-  std::vector<vid_t> labels = normalize_warm_labels(initial_labels, n);
+  std::vector<vid_t> labels;
+  if (initial_labels != nullptr) labels = normalize_warm_labels(*initial_labels, n);
   FoldPlan fold;
   const graph::EdgeList* run_edges = &edges;
-  if (opts.refine.vertex_following) {
+  if (opts.refine.vertex_following && n > 0) {
     fold = plan_vertex_following(edges, n);
     if (fold.any) {
       run_edges = &fold.edges;
@@ -1580,62 +1502,28 @@ static ParResult warm_impl(const graph::EdgeList& edges, vid_t n_vertices,
       // into a real community would inflate that community's member count
       // (which the singleton-swap guard consults), so its warm label
       // resets to self. The unfold reattaches it regardless of the seed.
-      for (vid_t v = 0; v < n; ++v) {
+      for (vid_t v = 0; v < static_cast<vid_t>(labels.size()); ++v) {
         if (fold.anchor[v] != kInvalidVid) labels[v] = v;
       }
     }
   }
-  pml::Runtime::run(
-      opts.nranks,
-      [&](pml::Comm& comm) {
-        WallTimer busy;
-        RankEngine engine(comm, opts);
-        engine.init_from_edges(*run_edges, n);
-        engine.warm_start(labels);
-        ParResult local = run_levels(comm, engine, n, opts, busy);
-        if (comm.rank() == 0) {
-          plv::MutexLock lock(result.mu);
-          result.value = std::move(local);
-        }
-      },
-      kind, pml::resolve_validate(opts.validate_transport), opts.tcp_options(),
-      opts.hybrid_options());
-  plv::MutexLock lock(result.mu);
-  unfold_vertex_following(fold, result.value);
-  return std::move(result.value);
+  Result result = launch_fleet(n, opts, [&](pml::Comm&, RankEngine& engine) {
+    engine.init_from_edges(*run_edges, n);
+    if (initial_labels != nullptr) engine.warm_start(labels);
+  });
+  unfold_vertex_following(fold, result);
+  return result;
 }
 
-static ParResult streamed_impl(const EdgeSliceFn& slice_of, vid_t n_vertices,
-                               const ParOptions& opts) {
-  opts.validate();
-  const pml::TransportKind kind = pml::resolve_transport(opts.transport);
-  struct {
-    plv::Mutex mu;
-    ParResult value PLV_GUARDED_BY(mu);
-  } result;
-  {
-    plv::MutexLock lock(result.mu);
-    result.value.transport = pml::transport_kind_name(kind);
-    if (n_vertices == 0) return std::move(result.value);
-  }
-  pml::Runtime::run(
-      opts.nranks,
-      [&](pml::Comm& comm) {
-        WallTimer busy;
-        RankEngine engine(comm, opts);
-        const graph::EdgeList slice = slice_of(comm.rank(), comm.nranks());
-        engine.init_from_slice(slice, n_vertices);
-        ParResult local = run_levels(comm, engine, n_vertices, opts, busy);
-        if (comm.rank() == 0) {
-          plv::MutexLock lock(result.mu);
-          result.value = std::move(local);
-        }
-      },
-      kind, pml::resolve_validate(opts.validate_transport), opts.tcp_options(),
-      opts.hybrid_options());
-  plv::MutexLock lock(result.mu);
-  return std::move(result.value);
+/// One-shot run over a distributed edge stream: each rank ingests only
+/// its own slice.
+Result streamed_impl(const EdgeSliceFn& slice_of, vid_t n_vertices, const ParOptions& opts) {
+  return launch_fleet(n_vertices, opts, [&](pml::Comm& comm, RankEngine& engine) {
+    engine.init_from_slice(slice_of(comm.rank(), comm.nranks()), n_vertices);
+  });
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // The resident fleet body behind plv::Session (core/session.hpp). Every
@@ -1710,7 +1598,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     return run_levels(comm, engine, n, opts, busy);
   };
 
-  const auto publish = [&](std::uint64_t seq, const ParResult& r, bool incremental) {
+  const auto publish = [&](std::uint64_t seq, const Result& r, bool incremental) {
     labels = r.final_labels;
     if (me != 0) return;
     auto snap = std::make_shared<LabelSnapshot>();
@@ -1873,13 +1761,12 @@ Result louvain(const GraphSource& graph, const core::ParOptions& opts) {
     graph::EdgeList updated = *graph.edges();
     const vid_t n =
         std::max(graph.n_vertices(), apply_edge_delta(updated, *graph.delta()));
-    return core::parallel_impl(updated, n, opts);
+    return core::edges_impl(updated, n, nullptr, opts);
   }
   if (graph.initial_labels() != nullptr) {
-    return core::warm_impl(*graph.edges(), graph.n_vertices(), *graph.initial_labels(),
-                           opts);
+    return core::edges_impl(*graph.edges(), graph.n_vertices(), graph.initial_labels(), opts);
   }
-  return core::parallel_impl(*graph.edges(), graph.n_vertices(), opts);
+  return core::edges_impl(*graph.edges(), graph.n_vertices(), nullptr, opts);
 }
 
 }  // namespace plv

@@ -31,17 +31,17 @@ inline constexpr std::size_t kAutoAggregatorCapacity = 0;
 /// list (the historical unbounded-pool behavior).
 inline constexpr std::size_t kUnboundedChunkPool = 0;
 
-/// ParOptions::full_rebuild_every — rebuild the Out_Table from scratch in
+/// RefinePlan::full_rebuild_every — rebuild the Out_Table from scratch in
 /// every inner iteration (the legacy pre-delta behavior; the ablation
 /// baseline for the incremental-maintenance benches).
 inline constexpr int kRebuildEveryIteration = 1;
 
-/// ParOptions::full_rebuild_every — never schedule a cadence rebuild; ship
+/// RefinePlan::full_rebuild_every — never schedule a cadence rebuild; ship
 /// retraction/assertion deltas only (the traffic-based fallback to a full
 /// rebuild still applies when the delta would be larger).
 inline constexpr int kNeverRebuild = 0;
 
-/// ParOptions::adaptive_rebuild_drift — disable the churn-driven rebuild
+/// RefinePlan::adaptive_rebuild_drift — disable the churn-driven rebuild
 /// trigger; only the fixed cadence and the traffic fallback schedule full
 /// rebuilds.
 inline constexpr double kAdaptiveRebuildOff = 0.0;
@@ -99,8 +99,7 @@ enum class ThresholdModel {
 /// The refinement half of the configuration — every knob that shapes the
 /// REFINE inner loop and the level cascade, grouped the way Katana's
 /// LouvainClusteringPlan groups its clustering knobs. Lives nested inside
-/// ParOptions (ParOptions::refine); the historical flat field names remain
-/// as reference aliases, so existing call sites keep compiling unchanged.
+/// ParOptions (ParOptions::refine).
 struct RefinePlan {
   // Convergence. The inner loop stops on zero moves or after
   // `stagnation_window` consecutive iterations with < q_tolerance
@@ -137,16 +136,6 @@ struct RefinePlan {
   // bound. Derived from allreduced tallies, so every rank fires on the
   // same iteration. kAdaptiveRebuildOff (0) disables the trigger.
   double adaptive_rebuild_drift{2.0};
-
-  // Overlapped refine pipeline (default): Σtot request/reply, move-delta
-  // and Σin exchanges ride the streaming fine-grained plane (no collective
-  // rendezvous; arrivals staged per source and applied in rank order, so
-  // results stay bit-identical), the stay-score initialization overlaps
-  // the Σtot wire time, the global move tally piggybacks on the delta
-  // exchange, and modularity + trace volume share one combined reduction.
-  // false restores the phased path — blocking collectives, separate
-  // reductions — as the A/B baseline.
-  bool overlap{true};
 
   // Resolution γ of generalized modularity (1 = Newman's Eq. 3). Larger
   // values favor more, smaller communities.
@@ -313,7 +302,7 @@ struct ParOptions {
   // "host:port" per rank (the same list on every host; index = rank) and
   // `tcp_rank` says which entry this process is. PLV_HOSTS / PLV_RANK
   // override these at run time, like PLV_TRANSPORT does for `transport`.
-  std::vector<std::string> hosts;
+  std::vector<std::string> hosts{};
   int tcp_rank{-1};
 
   /// The pml launch options the configured TCP knobs describe.
@@ -372,53 +361,11 @@ struct ParOptions {
   // Telemetry.
   bool record_trace{true};
 
-  // The plan groups (see RefinePlan / StreamingPlan above). These are the
-  // authoritative storage; the flat aliases below are references into
-  // them, kept so the historical field names (`opts.p1 = ...`) keep
-  // working unchanged.
-  RefinePlan refine;
-  StreamingPlan streaming;
-
-  // Field-compat aliases. Reading or writing one touches the nested plan
-  // directly. The user-defined copy/move operations below copy only the
-  // value members, so each object's aliases always bind to its *own*
-  // plans (the default memberwise copy would silently alias the source's).
-  double& q_tolerance = refine.q_tolerance;
-  int& max_inner_iterations = refine.max_inner_iterations;
-  int& max_levels = refine.max_levels;
-  int& stagnation_window = refine.stagnation_window;
-  ThresholdModel& threshold = refine.threshold;
-  double& p1 = refine.p1;
-  double& p2 = refine.p2;
-  std::size_t& gain_histogram_bins = refine.gain_histogram_bins;
-  int& full_rebuild_every = refine.full_rebuild_every;
-  double& adaptive_rebuild_drift = refine.adaptive_rebuild_drift;
-  bool& overlap = refine.overlap;
-  double& resolution = refine.resolution;
-
-  // No move operations: with user-defined copy operations none are
-  // implicitly declared, so rvalues copy — correct (the aliases must
-  // rebind per object) and cheap (hosts is the only allocation).
-  ParOptions() = default;
-  ParOptions(const ParOptions& other) : ParOptions() { *this = other; }
-  ParOptions& operator=(const ParOptions& other) {
-    nranks = other.nranks;
-    partition = other.partition;
-    transport = other.transport;
-    hosts = other.hosts;
-    tcp_rank = other.tcp_rank;
-    ranks_per_proc = other.ranks_per_proc;
-    flat_collectives = other.flat_collectives;
-    validate_transport = other.validate_transport;
-    hash = other.hash;
-    table_max_load = other.table_max_load;
-    aggregator_capacity = other.aggregator_capacity;
-    chunk_pool_watermark = other.chunk_pool_watermark;
-    record_trace = other.record_trace;
-    refine = other.refine;
-    streaming = other.streaming;
-    return *this;
-  }
+  // The plan groups (see RefinePlan / StreamingPlan above). These and
+  // `hosts` carry explicit `{}` so that designated-initializer construction
+  // (`ParOptions{.nranks = 2}`) leaves no member without an initializer.
+  RefinePlan refine{};
+  StreamingPlan streaming{};
 
   /// Preset: the most auditable configuration — deterministic refine plan
   /// (rebuild every iteration) plus cold-rebuild-every-batch streaming.
@@ -448,31 +395,32 @@ struct ParOptions {
       fail("nranks must be >= 1, got " + std::to_string(nranks));
     }
     // Negated comparisons so NaN fails the check instead of slipping by.
-    if (!(q_tolerance >= 0.0)) {
-      fail("q_tolerance must be >= 0, got " + std::to_string(q_tolerance));
+    if (!(refine.q_tolerance >= 0.0)) {
+      fail("q_tolerance must be >= 0, got " + std::to_string(refine.q_tolerance));
     }
-    if (max_inner_iterations < 1) {
+    if (refine.max_inner_iterations < 1) {
       fail("max_inner_iterations must be >= 1, got " +
-           std::to_string(max_inner_iterations) + " (the inner loop needs at least one sweep)");
+           std::to_string(refine.max_inner_iterations) +
+           " (the inner loop needs at least one sweep)");
     }
-    if (max_levels < 1) {
-      fail("max_levels must be >= 1, got " + std::to_string(max_levels));
+    if (refine.max_levels < 1) {
+      fail("max_levels must be >= 1, got " + std::to_string(refine.max_levels));
     }
-    if (stagnation_window < 1) {
-      fail("stagnation_window must be >= 1, got " + std::to_string(stagnation_window));
+    if (refine.stagnation_window < 1) {
+      fail("stagnation_window must be >= 1, got " + std::to_string(refine.stagnation_window));
     }
-    if (threshold != ThresholdModel::kNone) {
-      if (!(p1 > 0.0)) {
-        fail("p1 must be > 0 when a threshold model is active, got " + std::to_string(p1) +
+    if (refine.threshold != ThresholdModel::kNone) {
+      if (!(refine.p1 > 0.0)) {
+        fail("p1 must be > 0 when a threshold model is active, got " + std::to_string(refine.p1) +
              " (use ThresholdModel::kNone to disable the heuristic)");
       }
-      if (!(p2 > 0.0)) {
-        fail("p2 must be > 0 when a threshold model is active, got " + std::to_string(p2) +
+      if (!(refine.p2 > 0.0)) {
+        fail("p2 must be > 0 when a threshold model is active, got " + std::to_string(refine.p2) +
              " (use ThresholdModel::kNone to disable the heuristic)");
       }
     }
-    if (gain_histogram_bins < 1) {
-      fail("gain_histogram_bins must be >= 1, got " + std::to_string(gain_histogram_bins));
+    if (refine.gain_histogram_bins < 1) {
+      fail("gain_histogram_bins must be >= 1, got " + std::to_string(refine.gain_histogram_bins));
     }
     if (!(table_max_load > 0.0) || !(table_max_load <= 1.0)) {
       fail("table_max_load must be in (0, 1], got " + std::to_string(table_max_load));
@@ -486,14 +434,14 @@ struct ParOptions {
       fail("aggregator_capacity " + std::to_string(aggregator_capacity) +
            " would overflow the chunk byte size; use kAutoAggregatorCapacity (0) to auto-size");
     }
-    if (full_rebuild_every < 0) {
-      fail("full_rebuild_every must be >= 0, got " + std::to_string(full_rebuild_every) +
+    if (refine.full_rebuild_every < 0) {
+      fail("full_rebuild_every must be >= 0, got " + std::to_string(refine.full_rebuild_every) +
            " (kNeverRebuild = 0 ships deltas only, kRebuildEveryIteration = 1 always rebuilds)");
     }
     // Negated so NaN is rejected too.
-    if (!(adaptive_rebuild_drift >= 0.0)) {
+    if (!(refine.adaptive_rebuild_drift >= 0.0)) {
       fail("adaptive_rebuild_drift must be >= 0, got " +
-           std::to_string(adaptive_rebuild_drift) +
+           std::to_string(refine.adaptive_rebuild_drift) +
            " (kAdaptiveRebuildOff = 0 disables the churn-driven rebuild trigger)");
     }
     if (streaming.rebuild_every_batches < 0) {
@@ -507,8 +455,8 @@ struct ParOptions {
       fail("streaming.max_delta_fraction must be in [0, 1], got " +
            std::to_string(streaming.max_delta_fraction));
     }
-    if (!(resolution > 0.0) || !std::isfinite(resolution)) {
-      fail("resolution must be a positive finite value, got " + std::to_string(resolution));
+    if (!(refine.resolution > 0.0) || !std::isfinite(refine.resolution)) {
+      fail("resolution must be a positive finite value, got " + std::to_string(refine.resolution));
     }
     // Negated comparisons so NaN fails the range checks.
     if (!(refine.frontier_scan_threshold >= 0.0) ||

@@ -273,37 +273,6 @@ class Comm {
     return std::move(sink.out);
   }
 
-  /// Like exchange(), but keeps arrivals grouped by source rank:
-  /// result[s] is exactly what rank s addressed to this rank. Needed by
-  /// request/reply protocols (e.g. the Σtot fetch) where the reply must
-  /// be routed back to, and matched up with, the requester.
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> exchange_grouped(
-      const std::vector<std::vector<T>>& outgoing) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    assert(static_cast<int>(outgoing.size()) == nranks());
-    ++stats_.collectives;
-    spans_.clear();
-    for (const auto& dest : outgoing) {
-      stats_.records_sent += dest.size();
-      stats_.bytes_sent += dest.size() * sizeof(T);
-      spans_.push_back(vector_bytes(dest));
-    }
-    struct Sink final : CollectiveSink {
-      void deliver(int source, std::span<const std::byte> bytes) override {
-        if (bytes.empty()) return;  // empty lane: data() may be null (UB in memcpy)
-        auto& dst = incoming[static_cast<std::size_t>(source)];
-        dst.resize(bytes.size() / sizeof(T));
-        std::memcpy(dst.data(), bytes.data(), bytes.size());
-      }
-      std::vector<std::vector<T>> incoming;
-    } sink;
-    sink.incoming.resize(static_cast<std::size_t>(nranks()));
-    run_collective(sink);
-    for (const auto& src : sink.incoming) stats_.records_received += src.size();
-    return std::move(sink.incoming);
-  }
-
   /// Streaming all-to-all over the fine-grained plane: `outgoing[d]` goes
   /// to rank d (like exchange()), but there is no collective rendezvous —
   /// payloads ship as pooled chunks through the FIFO lanes and the phase

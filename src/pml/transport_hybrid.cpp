@@ -93,17 +93,18 @@ namespace {
 ///
 /// Synchronization map (no PLV_GUARDED_BY here on purpose): a member
 /// writes only its own `slots` entry before the rendezvous and peers read
-/// it only after — the generation bump (release store, acquire loads in
+/// it only after — the generation bump (release CAS, acquire loads in
 /// the waiters' spin) is the ordering edge, not a lock the analysis could
-/// name. `count`/`generation` implement that rendezvous with explicit
-/// orders; `aborted` is the group-local kill flag.
+/// name. `state` packs the rendezvous generation (high 32 bits) and the
+/// arrival count (low 32 bits) into one word, so an arrival, the
+/// completing arrival and an abort withdrawal are each one CAS and can
+/// never interleave; `aborted` is the group-local kill flag.
 struct HybridShared {
   explicit HybridShared(int group_size)
       : slots(static_cast<std::size_t>(group_size), nullptr), size(group_size) {}
 
   std::vector<const std::span<const std::byte>*> slots;
-  std::atomic<int> count{0};
-  std::atomic<std::uint64_t> generation{0};
+  std::atomic<std::uint64_t> state{0};
   int size;
   std::atomic<bool> aborted{false};
 };
@@ -155,18 +156,31 @@ class HybridTransport final : public Transport {
     assert(!topo_.trivial());
     assert(static_cast<int>(outgoing.size()) == topo_.group_size);
     shared_->slots[static_cast<std::size_t>(slot_)] = outgoing.data();
-    group_sync();  // publish: every member's slot pointer is now visible
-    std::size_t total = 0;
-    for (int j = 0; j < topo_.group_size; ++j) {
-      total += shared_->slots[static_cast<std::size_t>(j)][slot_].size();
+    // Publish: every member's slot pointer is now visible. An abort seen
+    // before the rendezvous completes withdraws this member (its spans
+    // unwind with it, and no sibling can read them); once it completes,
+    // every member is committed to the consume rendezvous below.
+    group_sync(/*abortable=*/true);
+    try {
+      std::size_t total = 0;
+      for (int j = 0; j < topo_.group_size; ++j) {
+        total += shared_->slots[static_cast<std::size_t>(j)][slot_].size();
+      }
+      sink.total_hint(total);
+      for (int j = 0; j < topo_.group_size; ++j) {
+        // slots[j][slot_] is member j's payload for this rank; ascending j
+        // is ascending global source rank (consecutive blocks).
+        sink.deliver(group_base_ + j, shared_->slots[static_cast<std::size_t>(j)][slot_]);
+      }
+    } catch (...) {
+      group_sync(/*abortable=*/false);
+      throw;
     }
-    sink.total_hint(total);
-    for (int j = 0; j < topo_.group_size; ++j) {
-      // slots[j][slot_] is member j's payload for this rank; ascending j
-      // is ascending global source rank (consecutive blocks).
-      sink.deliver(group_base_ + j, shared_->slots[static_cast<std::size_t>(j)][slot_]);
-    }
-    group_sync();  // consume: spans stay valid until every member is done
+    // Consume: spans stay valid until every member is done reading. Not
+    // abortable — a member leaving early would free spans a sibling may
+    // still be reading, and every committed member reaches this point
+    // without waiting on anything outside the process.
+    group_sync(/*abortable=*/false);
   }
 
   void leader_alltoallv(std::span<const std::span<const std::byte>> outgoing,
@@ -223,24 +237,48 @@ class HybridTransport final : public Transport {
   void finish() noexcept { socket_.finish(); }
 
  private:
-  /// Group rendezvous. Waiters spin on the barrier generation but keep
-  /// pumping their own socket lanes: a remote rank mid-write to a parked
-  /// member always finds its reader live, which is the same deadlock-
-  /// freedom argument write_frame itself relies on. Unwinds with
-  /// AbortedError once any rank (sibling or remote) has failed, so a
-  /// group never waits forever on a dead member.
-  void group_sync() {
-    if (aborted()) throw AbortedError();
-    const std::uint64_t gen = shared_->generation.load(std::memory_order_acquire);
-    if (shared_->count.fetch_add(1, std::memory_order_acq_rel) + 1 == shared_->size) {
-      shared_->count.store(0, std::memory_order_relaxed);
-      shared_->generation.store(gen + 1, std::memory_order_release);
-      return;
+  /// Group rendezvous. When `abortable`, waiters spin on the rendezvous
+  /// generation but keep pumping their own socket lanes: a remote rank
+  /// mid-write to a parked member always finds its reader live, which is
+  /// the same deadlock-freedom argument write_frame itself relies on. A
+  /// member that sees any rank (sibling or remote) fail before the
+  /// rendezvous completes takes its arrival back and unwinds with
+  /// AbortedError, so a group never waits forever on a dead member and
+  /// never completes a rendezvous a member has left. The non-abortable
+  /// form only waits for siblings doing local work, so it neither pumps
+  /// (which could throw) nor checks the abort flag.
+  void group_sync(bool abortable) {
+    constexpr std::uint64_t kCountMask = 0xffffffffu;
+    if (abortable && aborted()) throw AbortedError();
+    const auto size = static_cast<std::uint64_t>(shared_->size);
+    std::uint64_t seen = shared_->state.load(std::memory_order_acquire);
+    std::uint64_t arrived = 0;
+    for (;;) {
+      const std::uint64_t gen = seen >> 32;
+      const std::uint64_t count = (seen & kCountMask) + 1;
+      arrived = count == size ? (gen + 1) << 32 : (gen << 32) | count;
+      if (shared_->state.compare_exchange_weak(seen, arrived, std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+        break;
+      }
     }
+    const std::uint64_t gen = (seen >> 32);
+    if ((arrived >> 32) != gen) return;  // this arrival completed the rendezvous
     int spins = 0;
-    while (shared_->generation.load(std::memory_order_acquire) == gen) {
-      if (aborted()) throw AbortedError();
-      socket_.pump_incoming(false);
+    for (;;) {
+      std::uint64_t now = shared_->state.load(std::memory_order_acquire);
+      if ((now >> 32) != gen) return;
+      if (abortable) {
+        if (aborted()) {
+          // Withdraw, unless the rendezvous completed in the meantime.
+          if (shared_->state.compare_exchange_weak(now, now - 1, std::memory_order_acq_rel,
+                                                   std::memory_order_acquire)) {
+            throw AbortedError();
+          }
+          continue;
+        }
+        socket_.pump_incoming(false);
+      }
       if (++spins > 64) std::this_thread::yield();
     }
   }

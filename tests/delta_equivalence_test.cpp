@@ -1,7 +1,7 @@
 // Delta-vs-full-rebuild equivalence of Out_Table maintenance.
 //
 // The incremental STATE PROPAGATION (retraction/assertion pairs for moved
-// vertices, ParOptions::full_rebuild_every > 1) must be indistinguishable
+// vertices, RefinePlan::full_rebuild_every > 1) must be indistinguishable
 // from rebuilding the table every iteration. On unit/integer-weight graphs
 // every accumulation is an exact integer sum in doubles, so the two paths
 // are *bit-compatible*: identical labels and modularity for every rebuild
@@ -28,7 +28,7 @@ namespace {
 ParOptions opts_with_cadence(int cadence, int nranks = 4) {
   ParOptions opts;
   opts.nranks = nranks;
-  opts.full_rebuild_every = cadence;
+  opts.refine.full_rebuild_every = cadence;
   return opts;
 }
 
@@ -153,7 +153,7 @@ TEST(AdaptiveCadence, TrajectoryIsBitCompatibleAcrossDriftThresholds) {
   const auto reference = plv::louvain(GraphSource::from_edges(g.edges, 1500), opts_with_cadence(1));
   for (double drift : {kAdaptiveRebuildOff, 1e-9, 0.5, 8.0}) {
     auto opts = opts_with_cadence(kNeverRebuild);
-    opts.adaptive_rebuild_drift = drift;
+    opts.refine.adaptive_rebuild_drift = drift;
     const auto r = plv::louvain(GraphSource::from_edges(g.edges, 1500), opts);
     EXPECT_EQ(r.final_labels, reference.final_labels) << "drift " << drift;
     EXPECT_NEAR(r.final_modularity, reference.final_modularity, 1e-12);
@@ -166,10 +166,10 @@ TEST(AdaptiveCadence, TrafficSitsBetweenPureDeltaAndAlwaysRebuild) {
   const auto g = gen::lfr({.n = 2000, .mu = 0.3, .seed = 53});
   const auto always = plv::louvain(GraphSource::from_edges(g.edges, 2000), opts_with_cadence(1));
   auto off_opts = opts_with_cadence(kNeverRebuild);
-  off_opts.adaptive_rebuild_drift = kAdaptiveRebuildOff;
+  off_opts.refine.adaptive_rebuild_drift = kAdaptiveRebuildOff;
   const auto pure_delta = plv::louvain(GraphSource::from_edges(g.edges, 2000), off_opts);
   auto mid_opts = opts_with_cadence(kNeverRebuild);
-  mid_opts.adaptive_rebuild_drift = 0.25;
+  mid_opts.refine.adaptive_rebuild_drift = 0.25;
   const auto adaptive = plv::louvain(GraphSource::from_edges(g.edges, 2000), mid_opts);
 
   ASSERT_EQ(adaptive.final_labels, always.final_labels);
@@ -185,9 +185,9 @@ TEST(AdaptiveCadence, CounterStaysHardUpperBound) {
   // the same records as cadence 4 with the trigger off.
   const auto g = gen::lfr({.n = 1500, .mu = 0.3, .seed = 7});
   auto huge_opts = opts_with_cadence(4);
-  huge_opts.adaptive_rebuild_drift = 1e18;
+  huge_opts.refine.adaptive_rebuild_drift = 1e18;
   auto off_opts = opts_with_cadence(4);
-  off_opts.adaptive_rebuild_drift = kAdaptiveRebuildOff;
+  off_opts.refine.adaptive_rebuild_drift = kAdaptiveRebuildOff;
   const auto huge = plv::louvain(GraphSource::from_edges(g.edges, 1500), huge_opts);
   const auto off = plv::louvain(GraphSource::from_edges(g.edges, 1500), off_opts);
   EXPECT_EQ(huge.final_labels, off.final_labels);

@@ -81,7 +81,7 @@ TEST(Hierarchy, WorksOnParallelResults) {
   const auto g = gen::lfr({.n = 800, .mu = 0.3, .seed = 65});
   ParOptions opts;
   opts.nranks = 4;
-  const ParResult result = plv::louvain(GraphSource::from_edges(g.edges, 800), opts);
+  const Result result = plv::louvain(GraphSource::from_edges(g.edges, 800), opts);
   const Hierarchy h(result);
   EXPECT_EQ(h.labels_at(h.num_levels() - 1), result.final_labels);
 }

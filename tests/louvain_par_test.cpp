@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "gen/lfr.hpp"
 #include "gen/planted.hpp"
@@ -24,14 +26,14 @@ class ParLouvainRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParLouvainRanks, RecoversRingOfCliques) {
   const auto graph = gen::ring_of_cliques(8, 5);
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 40), opts_with(GetParam()));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 40), opts_with(GetParam()));
   EXPECT_GT(metrics::nmi(r.final_labels, graph.ground_truth), 0.95);
   EXPECT_GT(r.final_modularity, 0.6);
 }
 
 TEST_P(ParLouvainRanks, ReportedModularityMatchesRecomputation) {
   const auto graph = gen::lfr({.n = 1000, .mu = 0.3, .seed = 21});
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 1000), opts_with(GetParam()));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 1000), opts_with(GetParam()));
   const auto g = graph::Csr::from_edges(graph.edges, 1000);
   EXPECT_NEAR(r.final_modularity, metrics::modularity(g, r.final_labels), 1e-9);
 }
@@ -41,7 +43,7 @@ TEST_P(ParLouvainRanks, ResultIndependentOfRankCount) {
   // partitions must agree in quality (NMI vs ground truth close).
   const auto graph = gen::planted_partition(
       {.communities = 8, .community_size = 16, .p_intra = 0.7, .p_inter = 0.02, .seed = 22});
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 128), opts_with(GetParam()));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 128), opts_with(GetParam()));
   EXPECT_GT(metrics::nmi(r.final_labels, graph.ground_truth), 0.9);
 }
 
@@ -52,8 +54,8 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, ParLouvainRanks, ::testing::Values(1, 2, 4,
 
 TEST(ParLouvain, DeterministicAcrossRuns) {
   const auto graph = gen::lfr({.n = 800, .mu = 0.3, .seed = 23});
-  const ParResult a = plv::louvain(GraphSource::from_edges(graph.edges, 800), opts_with(4));
-  const ParResult b = plv::louvain(GraphSource::from_edges(graph.edges, 800), opts_with(4));
+  const Result a = plv::louvain(GraphSource::from_edges(graph.edges, 800), opts_with(4));
+  const Result b = plv::louvain(GraphSource::from_edges(graph.edges, 800), opts_with(4));
   EXPECT_EQ(a.final_labels, b.final_labels);
   EXPECT_DOUBLE_EQ(a.final_modularity, b.final_modularity);
   EXPECT_EQ(a.num_levels(), b.num_levels());
@@ -61,14 +63,14 @@ TEST(ParLouvain, DeterministicAcrossRuns) {
 
 TEST(ParLouvain, LevelLabelChainsComposeToFinal) {
   const auto graph = gen::lfr({.n = 600, .mu = 0.3, .seed = 24});
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 600), opts_with(3));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 600), opts_with(3));
   ASSERT_GE(r.num_levels(), 1u);
   EXPECT_EQ(r.labels_at_level(r.num_levels() - 1), r.final_labels);
 }
 
 TEST(ParLouvain, LevelSizesChain) {
   const auto graph = gen::lfr({.n = 1200, .mu = 0.4, .seed = 25});
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 1200), opts_with(4));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 1200), opts_with(4));
   for (std::size_t l = 1; l < r.levels.size(); ++l) {
     EXPECT_EQ(r.levels[l].num_vertices, r.levels[l - 1].num_communities);
   }
@@ -84,8 +86,8 @@ TEST(ParLouvain, BlockPartitionAgreesWithCyclic) {
   ParOptions cyc = opts_with(4);
   ParOptions blk = opts_with(4);
   blk.partition = graph::PartitionKind::kBlock;
-  const ParResult a = plv::louvain(GraphSource::from_edges(graph.edges, 120), cyc);
-  const ParResult b = plv::louvain(GraphSource::from_edges(graph.edges, 120), blk);
+  const Result a = plv::louvain(GraphSource::from_edges(graph.edges, 120), cyc);
+  const Result b = plv::louvain(GraphSource::from_edges(graph.edges, 120), blk);
   EXPECT_GT(metrics::nmi(a.final_labels, b.final_labels), 0.9);
 }
 
@@ -95,9 +97,9 @@ TEST(ParLouvain, NaiveVariantConvergesSlowerOrWorse) {
   const auto graph = gen::lfr({.n = 1500, .mu = 0.4, .seed = 27});
   ParOptions with = opts_with(4);
   ParOptions without = opts_with(4);
-  without.threshold = ThresholdModel::kNone;
-  const ParResult a = plv::louvain(GraphSource::from_edges(graph.edges, 1500), with);
-  const ParResult b = plv::louvain(GraphSource::from_edges(graph.edges, 1500), without);
+  without.refine.threshold = ThresholdModel::kNone;
+  const Result a = plv::louvain(GraphSource::from_edges(graph.edges, 1500), with);
+  const Result b = plv::louvain(GraphSource::from_edges(graph.edges, 1500), without);
   EXPECT_GE(a.final_modularity, b.final_modularity - 0.05);
 }
 
@@ -108,7 +110,7 @@ TEST(ParLouvain, SelfLoopsAndParallelEdgesHandled) {
   e.add(1, 2);
   e.add(2, 2, 2.0);  // self loop
   e.add(3, 4);
-  const ParResult r = plv::louvain(GraphSource::from_edges(e, 5), opts_with(2));
+  const Result r = plv::louvain(GraphSource::from_edges(e, 5), opts_with(2));
   const auto g = graph::Csr::from_edges(e, 5);
   EXPECT_NEAR(r.final_modularity, metrics::modularity(g, r.final_labels), 1e-9);
 }
@@ -118,7 +120,7 @@ TEST(ParLouvain, IsolatedVerticesSurviveAsSingletons) {
   e.add(0, 1);
   e.add(1, 2);
   e.add(0, 2);
-  const ParResult r = plv::louvain(GraphSource::from_edges(e, 6), opts_with(3));
+  const Result r = plv::louvain(GraphSource::from_edges(e, 6), opts_with(3));
   ASSERT_EQ(r.final_labels.size(), 6u);
   EXPECT_NE(r.final_labels[4], r.final_labels[5]);
   EXPECT_EQ(r.final_labels[0], r.final_labels[2]);
@@ -127,15 +129,15 @@ TEST(ParLouvain, IsolatedVerticesSurviveAsSingletons) {
 TEST(ParLouvain, EdgelessGraphYieldsSingletonsAndZeroQ) {
   // n vertices, no edges: Eq. 3 is undefined (m = 0); the engine must
   // return singleton communities and Q = 0 rather than NaN.
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph::EdgeList{}, 0), opts_with(2));
+  const Result r = plv::louvain(GraphSource::from_edges(graph::EdgeList{}, 0), opts_with(2));
   (void)r;
   graph::EdgeList no_edges;
   ParOptions opts = opts_with(3);
-  const ParResult res = plv::louvain(GraphSource::from_edges(no_edges, 0), opts);
+  const Result res = plv::louvain(GraphSource::from_edges(no_edges, 0), opts);
   EXPECT_TRUE(res.final_labels.empty());
 
   // Explicit vertex count with zero edges.
-  ParResult res5;
+  Result res5;
   {
     graph::EdgeList e;  // empty
     res5 = plv::louvain(GraphSource::from_edges(e, 5), opts);
@@ -147,14 +149,28 @@ TEST(ParLouvain, EdgelessGraphYieldsSingletonsAndZeroQ) {
 }
 
 TEST(ParLouvain, EmptyGraphReturnsEmptyResult) {
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph::EdgeList{}, 0), opts_with(2));
-  EXPECT_TRUE(r.final_labels.empty());
-  EXPECT_EQ(r.num_levels(), 0u);
+  // Cold, warm and streamed runs share one launcher, which answers an
+  // empty graph without spawning a fleet: an empty result that still
+  // names the backend the run resolved to.
+  const std::string expected =
+      pml::transport_kind_name(pml::resolve_transport(pml::TransportKind::kThread));
+  const graph::EdgeList none;
+  const std::vector<vid_t> no_labels;
+  const EdgeSliceFn nothing = [](int, int) { return graph::EdgeList{}; };
+  for (const GraphSource& source :
+       {GraphSource::from_edges(none, 0), GraphSource::from_edges_warm(none, no_labels),
+        GraphSource::from_stream(nothing, 0)}) {
+    const Result r = plv::louvain(source, opts_with(2));
+    EXPECT_TRUE(r.final_labels.empty());
+    EXPECT_EQ(r.num_levels(), 0u);
+    EXPECT_EQ(r.transport, expected);
+    EXPECT_TRUE(r.rank_seconds.empty());
+  }
 }
 
 TEST(ParLouvain, TrafficCountersArePopulated) {
   const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 28});
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts_with(4));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts_with(4));
   EXPECT_GT(r.traffic.records_sent, 0u);
   EXPECT_EQ(r.traffic.records_sent, r.traffic.records_received);
   EXPECT_GT(r.traffic.bytes_sent, 0u);
@@ -163,7 +179,7 @@ TEST(ParLouvain, TrafficCountersArePopulated) {
 
 TEST(ParLouvain, PhaseTimersUseFig8Names) {
   const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 29});
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts_with(2));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts_with(2));
   EXPECT_GT(r.timers.get(phase::kStatePropagation), 0.0);
   EXPECT_GT(r.timers.get(phase::kFindBestCommunity), 0.0);
   EXPECT_GT(r.timers.get(phase::kRefine), 0.0);
@@ -172,7 +188,7 @@ TEST(ParLouvain, PhaseTimersUseFig8Names) {
 
 TEST(ParLouvain, TraceRecordsEpsilonAndCutoff) {
   const auto graph = gen::lfr({.n = 600, .mu = 0.4, .seed = 30});
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 600), opts_with(2));
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 600), opts_with(2));
   ASSERT_FALSE(r.levels.empty());
   const auto& trace = r.levels.front().trace;
   ASSERT_FALSE(trace.epsilon.empty());
@@ -193,7 +209,7 @@ TEST(ParLouvain, WeightedGraphModularityConsistent) {
   e.add(4, 5, 10.0);
   e.add(3, 5, 10.0);
   e.add(2, 3, 0.1);  // weak bridge
-  const ParResult r = plv::louvain(GraphSource::from_edges(e, 6), opts_with(2));
+  const Result r = plv::louvain(GraphSource::from_edges(e, 6), opts_with(2));
   EXPECT_EQ(r.final_labels[0], r.final_labels[1]);
   EXPECT_EQ(r.final_labels[3], r.final_labels[5]);
   EXPECT_NE(r.final_labels[0], r.final_labels[3]);

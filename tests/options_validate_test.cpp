@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "core/louvain_par.hpp"
 #include "graph/edge_list.hpp"
@@ -41,39 +42,39 @@ TEST(OptionsValidate, RejectsNonPositiveRankCount) {
 
 TEST(OptionsValidate, RejectsNegativeOrNanTolerance) {
   ParOptions opts;
-  opts.q_tolerance = -1e-9;
+  opts.refine.q_tolerance = -1e-9;
   expect_rejected(opts, "q_tolerance");
-  opts.q_tolerance = std::nan("");
+  opts.refine.q_tolerance = std::nan("");
   expect_rejected(opts, "q_tolerance");
 }
 
 TEST(OptionsValidate, RejectsDegenerateIterationLimits) {
   ParOptions opts;
-  opts.max_inner_iterations = 0;
+  opts.refine.max_inner_iterations = 0;
   expect_rejected(opts, "max_inner_iterations");
   opts = ParOptions{};
-  opts.max_levels = 0;
+  opts.refine.max_levels = 0;
   expect_rejected(opts, "max_levels");
   opts = ParOptions{};
-  opts.stagnation_window = 0;
+  opts.refine.stagnation_window = 0;
   expect_rejected(opts, "stagnation_window");
   opts = ParOptions{};
-  opts.gain_histogram_bins = 0;
+  opts.refine.gain_histogram_bins = 0;
   expect_rejected(opts, "gain_histogram_bins");
 }
 
 TEST(OptionsValidate, RejectsNonPositiveHeuristicParams) {
   ParOptions opts;
-  opts.p1 = 0.0;
+  opts.refine.p1 = 0.0;
   expect_rejected(opts, "p1");
   opts = ParOptions{};
-  opts.p2 = -0.3;
+  opts.refine.p2 = -0.3;
   expect_rejected(opts, "p2");
   // ...but with the heuristic off, p1/p2 are unused and unchecked.
   opts = ParOptions{};
-  opts.threshold = ThresholdModel::kNone;
-  opts.p1 = 0.0;
-  opts.p2 = 0.0;
+  opts.refine.threshold = ThresholdModel::kNone;
+  opts.refine.p1 = 0.0;
+  opts.refine.p2 = 0.0;
   EXPECT_NO_THROW(opts.validate());
 }
 
@@ -97,33 +98,33 @@ TEST(OptionsValidate, RejectsOverflowingAggregatorCapacity) {
 
 TEST(OptionsValidate, RejectsNegativeRebuildCadence) {
   ParOptions opts;
-  opts.full_rebuild_every = -1;
+  opts.refine.full_rebuild_every = -1;
   expect_rejected(opts, "full_rebuild_every");
-  opts.full_rebuild_every = kNeverRebuild;
+  opts.refine.full_rebuild_every = kNeverRebuild;
   EXPECT_NO_THROW(opts.validate());
-  opts.full_rebuild_every = kRebuildEveryIteration;
+  opts.refine.full_rebuild_every = kRebuildEveryIteration;
   EXPECT_NO_THROW(opts.validate());
 }
 
 TEST(OptionsValidate, RejectsNegativeOrNanAdaptiveRebuildDrift) {
   ParOptions opts;
-  opts.adaptive_rebuild_drift = -0.5;
+  opts.refine.adaptive_rebuild_drift = -0.5;
   expect_rejected(opts, "adaptive_rebuild_drift");
-  opts.adaptive_rebuild_drift = std::nan("");
+  opts.refine.adaptive_rebuild_drift = std::nan("");
   expect_rejected(opts, "adaptive_rebuild_drift");
-  opts.adaptive_rebuild_drift = kAdaptiveRebuildOff;
+  opts.refine.adaptive_rebuild_drift = kAdaptiveRebuildOff;
   EXPECT_NO_THROW(opts.validate());
-  opts.adaptive_rebuild_drift = 2.0;
+  opts.refine.adaptive_rebuild_drift = 2.0;
   EXPECT_NO_THROW(opts.validate());
 }
 
 TEST(OptionsValidate, RejectsNonFiniteResolution) {
   ParOptions opts;
-  opts.resolution = 0.0;
+  opts.refine.resolution = 0.0;
   expect_rejected(opts, "resolution");
-  opts.resolution = std::numeric_limits<double>::infinity();
+  opts.refine.resolution = std::numeric_limits<double>::infinity();
   expect_rejected(opts, "resolution");
-  opts.resolution = std::nan("");
+  opts.refine.resolution = std::nan("");
   expect_rejected(opts, "resolution");
 }
 
@@ -367,32 +368,19 @@ TEST(OptionsPlans, PresetsValidateAndPinTheirContracts) {
   EXPECT_EQ(RefinePlan::deterministic().adaptive_rebuild_drift, kAdaptiveRebuildOff);
 }
 
-TEST(OptionsPlans, FlatAliasesReadAndWriteTheNestedPlans) {
-  // The pre-plan flat fields stay usable: they are references into the
-  // nested RefinePlan, so writes through either spelling are visible
-  // through the other.
-  ParOptions opts;
-  opts.resolution = 2.5;
-  EXPECT_EQ(opts.refine.resolution, 2.5);
-  opts.refine.full_rebuild_every = 7;
-  EXPECT_EQ(opts.full_rebuild_every, 7);
-  opts.max_levels = 3;
-  EXPECT_EQ(opts.refine.max_levels, 3);
-}
+// One spelling per option: ParOptions is a plain aggregate, so it has no
+// reference members and no user-declared copy operations to keep in step.
+static_assert(std::is_aggregate_v<ParOptions>);
 
-TEST(OptionsPlans, CopiesRebindAliasesToTheirOwnPlans) {
-  // Copying must not leave the copy's aliases pointing into the source's
-  // plans (the classic reference-member copy bug).
-  ParOptions a;
-  a.resolution = 3.0;
-  ParOptions b = a;
-  EXPECT_EQ(b.resolution, 3.0);
-  b.resolution = 0.5;
-  EXPECT_EQ(a.resolution, 3.0) << "copy aliased the source's plan";
-  EXPECT_EQ(b.refine.resolution, 0.5);
-  a = b;
-  a.max_levels = 9;
-  EXPECT_NE(b.max_levels, 9);
+TEST(OptionsPlans, DesignatedInitializersBuildAValidConfiguration) {
+  const ParOptions opts{.nranks = 2, .refine = RefinePlan::heuristics()};
+  EXPECT_NO_THROW(opts.validate());
+  EXPECT_EQ(opts.nranks, 2);
+  EXPECT_TRUE(opts.refine.active_scheduling);
+  // Copies are independent values.
+  ParOptions copy = opts;
+  copy.refine.resolution = 0.5;
+  EXPECT_EQ(opts.refine.resolution, 1.0);
 }
 
 TEST(OptionsValidate, EntryPointsRejectBeforeSpawningRanks) {
@@ -401,7 +389,7 @@ TEST(OptionsValidate, EntryPointsRejectBeforeSpawningRanks) {
   graph::EdgeList edges;
   edges.add(0, 1);
   ParOptions opts;
-  opts.max_levels = 0;
+  opts.refine.max_levels = 0;
   EXPECT_THROW((void)louvain(GraphSource::from_edges(edges), opts),
                std::invalid_argument);
 }

@@ -19,7 +19,7 @@ namespace {
 
 struct EngineOutputs {
   LouvainResult seq;
-  core::ParResult par;
+  Result par;
   graph::Csr csr;
 };
 
@@ -104,9 +104,9 @@ TEST(ParVsSeq, HeuristicBeatsNaiveOnModularityPerRound) {
   const auto g = gen::lfr({.n = 2000, .mu = 0.4, .seed = 48});
   core::ParOptions with;
   with.nranks = 4;
-  with.max_levels = 1;  // one outer round only
+  with.refine.max_levels = 1;  // one outer round only
   core::ParOptions without = with;
-  without.threshold = core::ThresholdModel::kNone;
+  without.refine.threshold = core::ThresholdModel::kNone;
   const auto a = plv::louvain(GraphSource::from_edges(g.edges, 2000), with);
   const auto b = plv::louvain(GraphSource::from_edges(g.edges, 2000), without);
   ASSERT_FALSE(a.levels.empty());

@@ -125,36 +125,6 @@ TEST_P(CommTest, ExchangeRoutesByDestination) {
   });
 }
 
-TEST_P(CommTest, ExchangeGroupedMatchesRequestReply) {
-  const int n = nranks();
-  run([&](Comm& comm) {
-    std::vector<std::vector<int>> requests(static_cast<std::size_t>(n));
-    for (int d = 0; d < n; ++d) {
-      for (int i = 0; i <= comm.rank(); ++i) {
-        requests[static_cast<std::size_t>(d)].push_back(i);
-      }
-    }
-    const auto incoming = comm.exchange_grouped(requests);
-    // Reply with value*2, grouped per source.
-    std::vector<std::vector<int>> replies(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      for (int v : incoming[static_cast<std::size_t>(s)]) {
-        replies[static_cast<std::size_t>(s)].push_back(v * 2);
-      }
-    }
-    const auto answers = comm.exchange_grouped(replies);
-    for (int s = 0; s < n; ++s) {
-      PLV_RANK_CHECK_EQ(answers[static_cast<std::size_t>(s)].size(),
-                        static_cast<std::size_t>(comm.rank()) + 1);
-      for (int i = 0; i <= comm.rank(); ++i) {
-        PLV_RANK_CHECK_EQ(answers[static_cast<std::size_t>(s)]
-                                 [static_cast<std::size_t>(i)],
-                          i * 2);
-      }
-    }
-  });
-}
-
 TEST_P(CommTest, FineGrainedSendAndQuiescence) {
   const int n = nranks();
   run([&](Comm& comm) {

@@ -53,8 +53,8 @@ TEST(Resolution, HigherGammaYieldsMoreCommunitiesPar) {
   const auto g = gen::lfr({.n = 2000, .mu = 0.25, .seed = 83});
   core::ParOptions lo, hi;
   lo.nranks = hi.nranks = 4;
-  lo.resolution = 0.5;
-  hi.resolution = 4.0;
+  lo.refine.resolution = 0.5;
+  hi.refine.resolution = 4.0;
   const auto r_lo = plv::louvain(GraphSource::from_edges(g.edges, 2000), lo);
   const auto r_hi = plv::louvain(GraphSource::from_edges(g.edges, 2000), hi);
   EXPECT_LT(metrics::count_communities(r_lo.final_labels),
@@ -73,7 +73,7 @@ TEST(Resolution, ReportedQMatchesRecomputationAtGamma) {
 
     core::ParOptions popts;
     popts.nranks = 3;
-    popts.resolution = gamma;
+    popts.refine.resolution = gamma;
     const auto rp = plv::louvain(GraphSource::from_edges(g.edges, 800), popts);
     EXPECT_NEAR(rp.final_modularity,
                 metrics::modularity(csr, rp.final_labels, gamma), 1e-9);
@@ -97,7 +97,7 @@ TEST(Resolution, StreamedIngestionHonorsGamma) {
   for (double gamma : {0.5, 4.0}) {
     core::ParOptions opts;
     opts.nranks = 4;
-    opts.resolution = gamma;
+    opts.refine.resolution = gamma;
     const auto streamed = plv::louvain(GraphSource::from_stream(slice, 1000), opts);
     const auto cold = plv::louvain(GraphSource::from_edges(g.edges, 1000), opts);
     EXPECT_EQ(streamed.final_labels, cold.final_labels) << "gamma " << gamma;
@@ -109,8 +109,8 @@ TEST(Resolution, StreamedIngestionHonorsGamma) {
   // The γ extremes must actually bite through the streamed door too.
   core::ParOptions lo_opts, hi_opts;
   lo_opts.nranks = hi_opts.nranks = 4;
-  lo_opts.resolution = 0.5;
-  hi_opts.resolution = 4.0;
+  lo_opts.refine.resolution = 0.5;
+  hi_opts.refine.resolution = 4.0;
   const auto lo = plv::louvain(GraphSource::from_stream(slice, 1000), lo_opts);
   const auto hi = plv::louvain(GraphSource::from_stream(slice, 1000), hi_opts);
   EXPECT_LT(metrics::count_communities(lo.final_labels),

@@ -3,10 +3,14 @@
 // concatenation, bit for bit.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/louvain.hpp"
 #include "core/options.hpp"
 #include "gen/lfr.hpp"
 #include "gen/rmat.hpp"
+#include "transport_param.hpp"
 
 namespace plv::core {
 namespace {
@@ -88,6 +92,59 @@ TEST(StreamedIngest, EmptyGraph) {
   const auto r = plv::louvain(GraphSource::from_stream(nothing, 0), opts_with(2));
   EXPECT_TRUE(r.final_labels.empty());
 }
+
+// A slice naming a vertex outside [0, n_vertices) is a caller error the
+// ingesting rank reports before shipping any record — never an
+// out-of-bounds write into the per-vertex arrays.
+EdgeSliceFn slice_with_bad_edge_on_last_rank(vid_t n, vid_t bad) {
+  return [n, bad](int rank, int nranks) {
+    graph::EdgeList slice;
+    for (vid_t v = static_cast<vid_t>(rank); v + 1 < n; v += static_cast<vid_t>(nranks)) {
+      slice.add(v, v + 1);
+    }
+    if (rank == nranks - 1) slice.add(1, bad);
+    return slice;
+  };
+}
+
+class StreamedIngestFaults : public ::testing::TestWithParam<pml::TransportKind> {
+ protected:
+  void SetUp() override { PLV_SKIP_IF_UNSUPPORTED(GetParam()); }
+
+ private:
+  pml::ScopedTransportEnv park_env_;
+};
+
+TEST_P(StreamedIngestFaults, OutOfRangeEndpointFailsTheRun) {
+  constexpr vid_t kN = 64;
+  ParOptions opts = opts_with(4);
+  opts.transport = GetParam();
+  for (const vid_t bad : {kN, vid_t{0x7ffffff0u}}) {
+    const EdgeSliceFn slice = slice_with_bad_edge_on_last_rank(kN, bad);
+    if (GetParam() != pml::TransportKind::kThread) {
+      // Off the thread transport the failing rank may live in another
+      // process, so the error can arrive wrapped; what every transport
+      // owes is a prompt throw, not a crash or a fleet parked forever in
+      // the ingest drain.
+      EXPECT_ANY_THROW((void)plv::louvain(GraphSource::from_stream(slice, kN), opts))
+          << "endpoint " << bad;
+      continue;
+    }
+    try {
+      (void)plv::louvain(GraphSource::from_stream(slice, kN), opts);
+      ADD_FAILURE() << "endpoint " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("(1, " + std::to_string(bad) + ")"), std::string::npos) << what;
+      EXPECT_NE(what.find("n_vertices = 64"), std::string::npos) << what;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, StreamedIngestFaults,
+                         ::testing::ValuesIn(pml::kAllTransports), [](const auto& info) {
+                           return pml::transport_test_name(info.param);
+                         });
 
 }  // namespace
 }  // namespace plv::core
