@@ -50,12 +50,18 @@ struct LevelTrace {
 };
 
 /// A level's engine footprint at its start, summed over ranks: the
-/// In_Table entries it refines and the hash-table slots (In_Table,
-/// Out_Table, community maps) every scan and clear of the level walks.
+/// In_Table entries it refines and the slots every scan and clear of the
+/// level walks: the In_Table's and community maps' hash slots plus the
+/// Out_Table row slab (one slot per In_Table entry).
 struct TableFootprint {
   std::uint64_t in_entries{0};
   std::uint64_t slots{0};
 };
+
+/// Why a level's inner loop ended: an iteration moved no vertex, Q gained
+/// less than the tolerance for the stagnation window, or the loop reached
+/// max_inner_iterations.
+enum class LevelStop : std::uint8_t { kNoMoves, kStagnated, kIterationCap };
 
 /// One hierarchy level (one outer-loop round).
 struct LouvainLevel {
@@ -68,6 +74,7 @@ struct LouvainLevel {
   // only; zero for the sequential baseline).
   TrafficStats traffic;
   TableFootprint tables;  // parallel engine only
+  LevelStop stop{LevelStop::kNoMoves};  // parallel engine only
   LevelTrace trace;
 };
 
@@ -351,6 +358,11 @@ inline constexpr const char* kStatePropagation = "STATE PROPAGATION";
 inline constexpr const char* kFindBestCommunity = "FIND BEST COMMUNITY";
 inline constexpr const char* kUpdateCommunity = "UPDATE COMMUNITY INFORMATION";
 inline constexpr const char* kRefine = "REFINE";
+// Parallel engine, inside REFINE: the ΔQ̂ cutoff (positive-gain histogram
+// and its reductions), and the Σin exchange plus the iteration's closing
+// modularity/telemetry allreduce.
+inline constexpr const char* kGainCutoff = "GAIN CUTOFF";
+inline constexpr const char* kSigmaInExchange = "SIGMA-IN EXCHANGE";
 inline constexpr const char* kGraphReconstruction = "GRAPH RECONSTRUCTION";
 }  // namespace phase
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include "common/timer.hpp"
 #include "core/session.hpp"
 #include "hashing/edge_table.hpp"
+#include "hashing/row_store.hpp"
 #include "pml/aggregator.hpp"
 
 namespace plv::core {
@@ -96,35 +98,31 @@ struct CommInfo {
   std::int64_t members{0};
 };
 
-/// One (community, weight) entry of a vertex's Out_Table row, mirrored by
-/// the active-scheduling row index (RankEngine::rows_): the frontier scan
-/// walks these instead of the full table, so the weight is carried here —
-/// maintained by the same insert/retract sequence as the table slot, hence
-/// bitwise the same value.
-struct RowEntry {
-  vid_t c;
-  weight_t w;
-};
+/// Calls fn(key, w) for each level-0 In_Table record of edge `e` that rank
+/// `me` holds: ((v, u), w) per in-edge of an owned u, a self-loop stored
+/// as A(u, u) = 2w.
+template <typename Fn>
+void for_each_owned_record(const Edge& e, const graph::Partition1D& part, int me, Fn&& fn) {
+  if (e.u == e.v) {
+    if (part.owner(e.u) == me) fn(pack_key(e.u, e.u), 2 * e.w);
+    return;
+  }
+  if (part.owner(e.v) == me) fn(pack_key(e.u, e.v), e.w);
+  if (part.owner(e.u) == me) fn(pack_key(e.v, e.u), e.w);
+}
 
-/// Fills `table` with rank `me`'s slice of the level-0 In_Table: one
-/// ((v, u), w) record per in-edge of an owned u, self-loops stored as
-/// A(u, u) = 2w. Shared by one-shot ingestion (RankEngine::init_from_edges)
-/// and the Session's resident-table cold rebuilds: the table layout — and
-/// with it every downstream scan order — depends on the insertion
-/// sequence, so running the *same* fill over the same list is what makes a
-/// cold rebuild inside a fleet bit-identical to a one-shot run.
+/// Fills `table` with rank `me`'s slice of the level-0 In_Table. Shared by
+/// one-shot ingestion (RankEngine::init_from_edges) and the Session's
+/// resident-table cold rebuilds: the table layout — and with it every
+/// downstream scan order — depends on the insertion sequence, so running
+/// the *same* fill over the same list is what makes a cold rebuild inside
+/// a fleet bit-identical to a one-shot run.
 void fill_in_table(hashing::EdgeTable& table, const graph::EdgeList& edges,
                    const graph::Partition1D& part, int me, int nranks) {
   table.reset(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
   for (const Edge& e : edges) {
-    if (e.u == e.v) {
-      if (part.owner(e.u) == me) {
-        table.insert_or_add(pack_key(e.u, e.u), 2 * e.w);  // A(u,u) = 2w
-      }
-      continue;
-    }
-    if (part.owner(e.v) == me) table.insert_or_add(pack_key(e.u, e.v), e.w);
-    if (part.owner(e.u) == me) table.insert_or_add(pack_key(e.v, e.u), e.w);
+    for_each_owned_record(e, part, me,
+                          [&](std::uint64_t key, weight_t w) { table.insert_or_add(key, w); });
   }
 }
 
@@ -139,7 +137,6 @@ class RankEngine {
         opts_(opts),
         part_(opts.partition, 0, comm.nranks()),
         in_table_(0, opts.table_max_load, opts.hash),
-        out_table_(0, opts.table_max_load, opts.hash),
         prop_agg_(comm, opts.aggregator_capacity),
         sigma_reqs_(static_cast<std::size_t>(comm.nranks())) {
     comm_.set_chunk_pool_watermark(opts.chunk_pool_watermark);
@@ -344,8 +341,8 @@ class RankEngine {
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
       label_[l] = part_.to_global(comm_.rank(), l);
     }
-    // CSR-style in-edge adjacency per owned vertex: the delta propagation
-    // walks exactly the moved vertices' rows instead of scanning In_Table.
+    // CSR-style in-edge adjacency per owned vertex: propagation walks it
+    // (a delta only the moved vertices' rows) instead of the In_Table.
     adj_start_.assign(static_cast<std::size_t>(local_n) + 1, 0);
     in_table_.for_each([&](std::uint64_t key, weight_t w) {
       const vid_t u = key_lo(key);
@@ -365,9 +362,11 @@ class RankEngine {
 
     // Every engine table starts the level fresh, sized for this level
     // alone (DESIGN.md decision 17): no capacity, and so no probe order,
-    // outlives its level. The Σtot request tables start empty; the level's
-    // first request rebuild and first FIND size them.
-    out_table_ = hashing::EdgeTable(in_table_.size() + 16, opts_.table_max_load, opts_.hash);
+    // outlives its level. The Out_Table rows take the adjacency's layout:
+    // a vertex's row never holds more entries than its In_Table degree
+    // (DESIGN.md decision 18). The Σtot request tables start empty; the
+    // level's first request rebuild and first FIND size them.
+    out_.reset(adj_start_);
     comms_ = FlatMap<CommInfo>(static_cast<std::size_t>(local_n) + 1);
     sin_acc_ = FlatMap<weight_t>(static_cast<std::size_t>(local_n) + 1);
     comm_refs_ = FlatMap<std::uint32_t>();
@@ -383,35 +382,25 @@ class RankEngine {
     // the (allreduced) delta cost against this. The rest of the level's
     // table footprint rides the same reduction.
     const TableFootprint local{in_table_.size(),
-                               in_table_.capacity() + out_table_.capacity() +
+                               in_table_.capacity() + out_.capacity() +
                                    comms_.capacity() + sin_acc_.capacity() +
                                    comm_refs_.capacity() + sigma_cache_.capacity()};
     tables_ = comm_.allreduce(local, [](const TableFootprint& a, const TableFootprint& b) {
       return TableFootprint{a.in_entries + b.in_entries, a.slots + b.slots};
     });
-    // A pinned (Session) frontier applies to the level it was seeded on;
-    // coarser levels (and fresh inits) refine unrestricted. Active-vertex
-    // scheduling, by contrast, re-arms on every level: all vertices start
-    // schedulable, and the first delta propagation shrinks the set to the
-    // disturbed region. Small levels opt out entirely: restricting moves
-    // admits fewer movers per round, so convergence stretches across more
-    // iterations — a fine trade while FIND dominates, a loss once the
-    // level is collective-bound (scanning a few hundred vertices is free,
-    // but every extra iteration pays the full reduction rounds).
+    // A pinned (Session) frontier applies to the level it was seeded on.
+    // Active-vertex scheduling re-arms on every level: all vertices start
+    // schedulable and the first delta propagation shrinks the set. Small
+    // levels opt out: restriction stretches convergence over more
+    // iterations, a loss once a level is collective-bound.
     pinned_ = false;
     restricted_ = false;
     prune_ = opts_.refine.active_scheduling &&
              n_level_ >= opts_.refine.min_frontier_vertices;
-    use_rows_ = prune_;
     if (prune_) {
       active_.assign(local_n, 1);
     } else {
       active_.clear();
-    }
-    if (use_rows_) {
-      rows_.assign(local_n, {});
-    } else {
-      rows_.clear();
     }
   }
 
@@ -423,42 +412,39 @@ class RankEngine {
 
   // -- STATE PROPAGATION (Algorithm 3) --------------------------------------
 
-  /// Full rebuild: clears Out_Table and re-ships every In_Table entry
-  /// under its current label. Re-derives the Σtot request bookkeeping from
-  /// scratch, which also resets any floating-point drift the incremental
-  /// path accumulated on non-integer weights. The drain doubles as the Σin
-  /// accumulation pass: a record (v, c, w) with label(v) == c is exactly a
-  /// Σin contribution, so sin_acc_ is rebuilt from scratch here — fused
-  /// into the receive loop instead of a separate full table scan.
+  /// Full rebuild: re-ships every in-edge (from the adjacency) under its
+  /// owner's current label; the rows fill in drain order and seal() sorts
+  /// and combines them. Re-derives the Σtot request bookkeeping, resetting
+  /// any drift the incremental path accumulated on non-integer weights.
+  /// The drain rebuilds Σin too: a record (v, c, w) with label(v) == c is
+  /// a Σin contribution.
   void state_propagation_full() {
-    out_table_.reset(in_table_.size() + 16);
+    out_.clear();
     sin_acc_.reset(label_.size() + 1);
-    if (use_rows_) {
-      for (auto& row : rows_) row.clear();
+    const vid_t local_n = static_cast<vid_t>(label_.size());
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- a full rebuild ships every in-edge by definition
+      const vid_t c = label_[l];
+      for (std::size_t i = adj_start_[l]; i < adj_start_[static_cast<std::size_t>(l) + 1]; ++i) {
+        prop_agg_.push(part_.owner(adj_[i].v), PropMsg{adj_[i].v, c, adj_[i].w});
+      }
     }
-    in_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t v = key_hi(key);
-      const vid_t u = key_lo(key);  // owned
-      prop_agg_.push(part_.owner(v), PropMsg{v, label_[part_.to_local(u)], w});
-    });
     prop_agg_.flush_all_final();
     comm_.drain_streaming_finalized<PropMsg>([&](int /*src*/,
                                                  std::span<const PropMsg> msgs) {
       for (const PropMsg& m : msgs) {
         const vid_t lv = part_.to_local(m.v);
-        const bool fresh = out_table_.insert_or_add(pack_key(m.v, m.c), m.w);
-        if (use_rows_) row_insert(lv, m.c, m.w, fresh);
+        out_.append(lv, m.c, m.w);
         if (label_[lv] == m.c) sin_acc_.ref(m.c) += m.w;
       }
     });
+    out_.seal();
     rebuild_sigma_requests();
     iters_since_rebuild_ = 0;
     drift_accum_ = 0.0;
-    // A rebuild re-ships every row, so the pruned frontier's "nothing
-    // changed near me" premise is void: reactivate the whole partition.
-    // (Pinned Session frontiers are exempt — their restriction is the
-    // caller's dirty-region contract, and the level's initial full
-    // propagation must not clobber the seeds.)
+    // A rebuild voids the pruned frontier's "nothing changed near me"
+    // premise: reactivate everything. (Pinned Session frontiers are the
+    // caller's dirty-region contract; the level's first rebuild must not
+    // clobber their seeds.)
     if (prune_ && !pinned_) {
       std::fill(active_.begin(), active_.end(), std::uint8_t{1});
       restricted_ = false;
@@ -467,18 +453,15 @@ class RankEngine {
 
   /// Incremental maintenance: ships one (retraction, assertion) pair per
   /// in-edge of each vertex that moved this iteration; receivers patch
-  /// Out_Table in place (count-based erase-on-zero keeps the table as
-  /// dense as a rebuild would). Requires every rank to have taken the
+  /// the Out_Table rows in place (count-based erase-on-zero keeps them as
+  /// compact as a rebuild would). Requires every rank to have taken the
   /// same full-vs-delta decision — see refine().
   void state_propagation_delta() {
     if (prune_) {
-      // Next iteration's frontier: the vertices that moved this sweep plus
-      // — via the patch drain below — everyone whose neighborhood those
-      // moves changed. The wakeup deliberately rides the existing PropMsg
-      // patch stream instead of a dedicated message kind: a patch to entry
-      // (v, c) *is* the statement "a neighbor of v changed community", so
-      // a separate wakeup channel would duplicate the same (v, source)
-      // pairs byte for byte (DESIGN.md decision 15).
+      // Next iteration's frontier: this sweep's movers plus, via the patch
+      // drain, everyone whose neighborhood they changed. A patch to (v, c)
+      // *is* "a neighbor of v changed community", so the wakeup needs no
+      // message of its own (DESIGN.md decision 15).
       restricted_ = true;
       std::fill(active_.begin(), active_.end(), std::uint8_t{0});
       for (const Move& mv : moves_) active_[mv.l] = 1;
@@ -495,32 +478,24 @@ class RankEngine {
       }
     }
     prop_agg_.flush_all_final();
-    // Each patch also carries Σin forward: under the receiver's (already
-    // post-move) labels, a patch to entry (v, c) shifts the community's
-    // internal weight exactly when label(v) == c. Combined with the local
-    // adjustments made at move time (update_communities), sin_acc_ lands
-    // on the same value a fresh post-propagation scan would compute —
-    // exactly, in integer-weight arithmetic; within one iteration's
-    // rounding otherwise (the fused FIND scan re-derives it next
-    // iteration, so the drift never compounds).
+    // Each patch also carries Σin forward: under the receiver's post-move
+    // labels, a patch to (v, c) shifts Σin(c) exactly when label(v) == c.
+    // With the move-time adjustments (update_communities) sin_acc_ lands on
+    // what a fresh scan would compute — exactly for integer weights, within
+    // one iteration's rounding otherwise (FIND re-derives it next time).
     comm_.drain_streaming_finalized<PropMsg>([&](int /*src*/,
                                                  std::span<const PropMsg> msgs) {
       for (const PropMsg& m : msgs) {
         const vid_t lv = part_.to_local(m.v);
-        // A patched vertex just learned its surroundings changed — that is
-        // the disturbed-vertex frontier growing (Lu & Halappanavar's
-        // disturbance propagation): it may move from the next sweep on.
+        // A patched vertex may move from the next sweep on (Lu &
+        // Halappanavar's disturbance propagation).
         if (restricted_) active_[lv] = 1;
         if ((m.c & kRetractBit) != 0) {
           const vid_t c = m.c & ~kRetractBit;
-          const bool erased = out_table_.retract(pack_key(m.v, c), m.w);
-          if (erased) ref_sub(c);
-          if (use_rows_) row_retract(lv, c, m.w, erased);
+          if (out_.retract(lv, c, m.w)) ref_sub(c);
           if (label_[lv] == c) sin_acc_.ref(c) -= m.w;
         } else {
-          const bool fresh = out_table_.insert_or_add(pack_key(m.v, m.c), m.w);
-          if (fresh) ref_add(m.c);
-          if (use_rows_) row_insert(lv, m.c, m.w, fresh);
+          if (out_.add(lv, m.c, m.w)) ref_add(m.c);
           if (label_[lv] == m.c) sin_acc_.ref(m.c) += m.w;
         }
       }
@@ -532,8 +507,8 @@ class RankEngine {
 
   /// The FIND phase must fetch Σtot for every community this rank's
   /// Out_Table references plus every owned vertex's own community. Rather
-  /// than re-collecting that set each iteration (a full table scan plus a
-  /// sort), the engine keeps it persistent: comm_refs_ counts, per
+  /// than re-collecting that set each iteration (a walk of every row plus
+  /// a sort), the engine keeps it persistent: comm_refs_ counts, per
   /// community, the Out_Table entries naming it plus the owned vertices
   /// labeled with it; sigma_reqs_ holds the per-owner sorted request
   /// lists; refs_dirty_ logs communities whose count touched zero or left
@@ -549,47 +524,13 @@ class RankEngine {
     if (--*r == 0) refs_dirty_.push_back(c);
   }
 
-  // -- active-scheduling row index ------------------------------------------
-
-  /// Mirrors one Out_Table insert into vertex lv's sorted community row.
-  /// `fresh` is the table's own "new slot" verdict, so row membership can
-  /// never disagree with table membership (the table's contribution count,
-  /// not a weight comparison, decides emptiness).
-  void row_insert(vid_t l, vid_t c, weight_t w, bool fresh) {
-    auto& row = rows_[l];
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), c,
-        [](const RowEntry& e, vid_t key) { return e.c < key; });
-    if (fresh) {
-      assert(it == row.end() || it->c != c);
-      row.insert(it, RowEntry{c, w});
-    } else {
-      assert(it != row.end() && it->c == c);
-      it->w += w;
-    }
-  }
-
-  /// Mirrors one Out_Table retraction; `erased` is the table's
-  /// slot-went-empty verdict.
-  void row_retract(vid_t l, vid_t c, weight_t w, bool erased) {
-    auto& row = rows_[l];
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), c,
-        [](const RowEntry& e, vid_t key) { return e.c < key; });
-    assert(it != row.end() && it->c == c);
-    if (erased) {
-      row.erase(it);
-    } else {
-      it->w -= w;
-    }
-  }
-
   /// Re-derives comm_refs_ and sigma_reqs_ from the freshly rebuilt
   /// Out_Table and current labels.
   void rebuild_sigma_requests() {
-    comm_refs_.reset(out_table_.size() / 2 + label_.size() + 1);
-    out_table_.for_each(
-        [&](std::uint64_t key, weight_t) { ++comm_refs_.ref(key_lo(key)); });
+    comm_refs_.reset(out_.size() / 2 + label_.size() + 1);
+    for (std::size_t l = 0; l < out_.rows(); ++l) {
+      for (const auto& e : out_.row(l)) ++comm_refs_.ref(e.c);
+    }
     for (vid_t c : label_) ++comm_refs_.ref(c);
     for (auto& reqs : sigma_reqs_) reqs.clear();
     comm_refs_.for_each([&](vid_t c, std::uint32_t&) {
@@ -626,44 +567,30 @@ class RankEngine {
     refs_dirty_.clear();
     for (std::size_t r = 0; r < nranks; ++r) {
       if (add[r].empty() && del[r].empty()) continue;
-      std::vector<vid_t> merged;  // add/del inherit the dirty log's order
-      merged.reserve(sigma_reqs_[r].size() + add[r].size());
-      std::size_t ai = 0;
-      std::size_t di = 0;
-      for (vid_t c : sigma_reqs_[r]) {
-        while (ai < add[r].size() && add[r][ai] < c) merged.push_back(add[r][ai++]);
-        if (di < del[r].size() && del[r][di] == c) {
-          ++di;
-          continue;
-        }
-        merged.push_back(c);
-      }
-      while (ai < add[r].size()) merged.push_back(add[r][ai++]);
-      sigma_reqs_[r] = std::move(merged);
+      // add/del inherit the dirty log's sorted order.
+      std::vector<vid_t> kept;
+      std::set_difference(sigma_reqs_[r].begin(), sigma_reqs_[r].end(), del[r].begin(),
+                          del[r].end(), std::back_inserter(kept));
+      sigma_reqs_[r].clear();
+      std::merge(kept.begin(), kept.end(), add[r].begin(), add[r].end(),
+                 std::back_inserter(sigma_reqs_[r]));
     }
   }
 
   // -- FIND BEST COMMUNITY (Algorithm 4 lines 6-9) --------------------------
 
-  /// Fetches Σtot for every community referenced by this rank's Out_Table
-  /// (request/reply to the owners, request lists maintained incrementally),
-  /// then scans the table ONCE to fill best_/gain_ per owned vertex AND
-  /// re-derive the Σin pre-aggregation: an entry (u, c) with c == label(u)
-  /// is a Σin contribution and never a join candidate, so the branch that
-  /// used to skip it now accumulates it — compute_sigma_in's second full
-  /// scan is gone.
-  ///
-  /// The request/reply rides the streaming plane: the Σtot requests are on
-  /// the wire while this rank runs the stay-score initialization (the
-  /// Out_Table lookups, the σ-independent half), and no collective
-  /// rendezvous happens at all.
+  /// Fetches Σtot for every community this rank's Out_Table references
+  /// (streamed request/reply to the owners, no collective; the requests are
+  /// on the wire while the σ-independent half of the stay score is
+  /// computed), then walks each owned vertex's sorted row ONCE to fill
+  /// best_/gain_ AND re-derive the Σin pre-aggregation: the entry
+  /// (u, label(u)) is a Σin contribution and never a join candidate.
   void find_best_community() {
     apply_sigma_request_changes();
     const auto nranks = static_cast<std::size_t>(comm_.nranks());
     const vid_t local_n = static_cast<vid_t>(label_.size());
 
-    // How many vertices this sweep actually considers for a move — the
-    // scanned-vertices telemetry and the scan-strategy input alike.
+    // Vertices this sweep considers for a move (scanned-vertices telemetry).
     if (restricted_) {
       std::uint64_t count = 0;
       for (std::uint8_t a : active_) count += a;
@@ -671,39 +598,25 @@ class RankEngine {
     } else {
       scanned_ = static_cast<std::uint64_t>(local_n);
     }
-    // Scan-strategy choice (active scheduling): when the live frontier is
-    // small enough, walk only the active vertices' community rows; above
-    // the threshold the fused full-table scan (inactive rows skipped) wins
-    // on sequential locality. Both strategies compute identical labels —
-    // the exact comparator below makes the winner independent of candidate
-    // enumeration order — so this is a per-rank-local performance choice.
-    const bool row_scan =
-        use_rows_ && restricted_ &&
-        static_cast<double>(scanned_) <=
-            opts_.refine.frontier_scan_threshold * static_cast<double>(local_n);
-    // Active scheduling implies exact minimum-label tie-breaking: the row
-    // walk and the fused scan enumerate candidates in different orders,
-    // and only an order-independent tie rule keeps them bit-equivalent.
+    // Active scheduling implies the exact rule (RefinePlan::active_scheduling).
     const bool exact_ties =
         opts_.refine.min_label_ties || opts_.refine.active_scheduling;
 
     // σ-independent half of the stay score: w_stay = Out[(u, cu)] − self
     // loop. The σ term is folded in after the replies arrive.
     auto stay_init = [&] {
-      for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- best_/gain_ reset must cover every vertex; the frontier skip below prunes the table lookups
+      for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- best_/gain_ reset must cover every vertex; the frontier skip below prunes the row lookups
         const vid_t cu = label_[l];
         best_[l] = cu;
         gain_[l] = 0.0;
         // Frontier pruning: vertices outside the disturbed region cannot
-        // move this iteration (their gain stays 0 and update_communities
-        // never reads best_score_), so their stay score is never consumed
-        // — skip the table lookup.
+        // move this iteration (their gain stays 0), so their stay score is
+        // never consumed — skip the row lookup.
         if (restricted_ && active_[l] == 0) {
           stay_score_[l] = 0.0;
           continue;
         }
-        const vid_t u = part_.to_global(comm_.rank(), l);
-        stay_score_[l] = out_table_.find(pack_key(u, cu)).value_or(0.0) - self_loop_[l];
+        stay_score_[l] = out_.weight(l, cu) - self_loop_[l];
       }
     };
     auto build_reply = [&](const std::vector<vid_t>& reqs, std::vector<SigmaRep>& rep) {
@@ -745,102 +658,57 @@ class RankEngine {
       }
     });
 
-    // Fold the σ term into the stay score: (w_stay) − γ(σ − k)k/2m,
-    // left-associated. γ is hoisted once for the two hot loops below.
+    // The row walk: Σin accumulation (c == cu) + join search (c != cu).
+    // Comparing joins by (w_uc − Σtot_c·k_u/2m) is equivalent to comparing
+    // ΔQ (metrics/modularity.hpp); the final gain is the join-vs-stay
+    // difference rescaled to true ΔQ units.
     const double gamma = opts_.refine.resolution;
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- O(1)/vertex σ fold; the skip below prunes the lookups
-      if (restricted_ && active_[l] == 0) continue;  // stay score unused
-      const SigmaRep* own = sigma_cache_.find(label_[l]);
-      assert(own != nullptr);
-      stay_score_[l] -= gamma * (own->sigma_tot - strength_[l]) *
-                        strength_[l] / two_m_;
-    }
-    // best_score starts equal to stay_score; track it in gain_ scaled later.
-    best_score_ = stay_score_;
-
-    if (row_scan) {
-      // Frontier row walk: only the active vertices are visited — the
-      // whole point of active scheduling — so Σin is NOT re-derived here;
-      // the incremental carry (move-time adjustment + patch-drain deltas)
-      // stays authoritative until the next fused scan or full rebuild.
-      // That is exact in integer/dyadic-weight arithmetic; otherwise the
-      // rebuild cadence bounds the drift, exactly as it does for the
-      // Out_Table weights themselves (DESIGN.md decision 8).
-      for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- sequential bitmap sweep; the join search runs for active vertices only
-        if (active_[l] == 0) continue;
-        const vid_t cu = label_[l];
-        for (const RowEntry& row : rows_[l]) {
-          const vid_t c = row.c;
-          if (c == cu) continue;
-          const SigmaRep* target = sigma_cache_.find(c);
-          assert(target != nullptr);
-          if (target->members == 1 && sigma_cache_.find(cu)->members == 1 && c > cu) {
-            continue;
-          }
-          const double score =
-              row.w - gamma * target->sigma_tot * strength_[l] / two_m_;
-          // Row mode implies the exact comparator (exact_ties above).
-          if (score > best_score_[l] || (score == best_score_[l] && c < best_[l])) {
-            best_score_[l] = score;
-            best_[l] = c;
-          }
-        }
-        gain_[l] = best_[l] == cu ? 0.0
-                                  : 2.0 * (best_score_[l] - stay_score_[l]) / two_m_;
-      }
-      return;
-    }
-
-    // The single fused scan: Σin accumulation (c == cu) + join search
-    // (c != cu). Comparing joins by (w_uc − Σtot_c·k_u/2m) is equivalent
-    // to comparing ΔQ (metrics/modularity.hpp); the final gain is the
-    // join-vs-stay difference rescaled to true ΔQ units.
     sin_acc_.reset(label_.size() + 1);
-    out_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t u = key_hi(key);
-      const vid_t c = key_lo(key);
-      const vid_t l = part_.to_local(u);
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- Σin re-derivation must count every vertex's own entry; inactive vertices skip the join search
       const vid_t cu = label_[l];
-      if (c == cu) {
-        sin_acc_.ref(c) += w;  // Σin accounting: every row counts, active or not
-        return;
-      }
       // Frontier pruning (Sahu's unchanged-vertex idea): an undisturbed
-      // vertex may not move this iteration, so its join search — the σ
-      // lookup and score compare, the scan's dominant cost — is skipped.
-      // best_[l] stays at label_[l] from stay_init, so its gain is 0.
-      if (restricted_ && active_[l] == 0) return;
-      const SigmaRep* target = sigma_cache_.find(c);
-      assert(target != nullptr);
-      // Singleton-swap guard (Lu et al. [11], cited by the paper): when a
-      // lone vertex considers joining another singleton community, only
-      // the smaller-labeled side may move. Without it, synchronous
-      // updates let pairs of singletons swap communities forever — the
-      // oscillation Section III warns about.
-      if (target->members == 1 && sigma_cache_.find(cu)->members == 1 && c > cu) return;
-      const double score =
-          w - gamma * target->sigma_tot * strength_[l] / two_m_;
-      // Tie handling: the default comparator prefers the smaller community
-      // id only inside a 1e-15 score band (kept bit-for-bit for the
-      // default configuration); with min-label tie-breaking the rule is
-      // exact, so the chosen target cannot depend on enumeration order
-      // (Lu & Halappanavar's determinism argument).
-      const bool better =
-          exact_ties ? (score > best_score_[l] ||
-                        (score == best_score_[l] && c < best_[l]))
-                     : (score > best_score_[l] + 1e-15 ||
-                        (score > best_score_[l] - 1e-15 && c < best_[l]));
-      if (better) {
-        best_score_[l] = score;
-        best_[l] = c;
+      // vertex may not move this iteration, so it only contributes its
+      // own-community entry to Σin; its best_ stays cu and its gain 0.
+      if (restricted_ && active_[l] == 0) {
+        if (const auto* own = out_.find(l, cu)) sin_acc_.ref(cu) += own->w;
+        continue;
       }
-    });
-    // Inactive vertices kept best_[l] == label_[l] through the scan, so
-    // this leaves their gain at 0 — out of the threshold histogram and
-    // the move sweep alike — with no separate masking pass.
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- gain finalize is O(1)/vertex with no table access
-      gain_[l] =
-          best_[l] == label_[l] ? 0.0 : 2.0 * (best_score_[l] - stay_score_[l]) / two_m_;
+      const SigmaRep* own = sigma_cache_.find(cu);
+      assert(own != nullptr);
+      const bool lone = own->members == 1;
+      const weight_t k = strength_[l];
+      // The σ term of the stay score: (w_stay) − γ(σ − k)k/2m.
+      const double stay = stay_score_[l] - gamma * (own->sigma_tot - k) * k / two_m_;
+      double best_score = stay;
+      vid_t best = cu;
+      for (const auto& e : out_.row(l)) {
+        const vid_t c = e.c;
+        if (c == cu) {
+          sin_acc_.ref(c) += e.w;
+          continue;
+        }
+        const SigmaRep* target = sigma_cache_.find(c);
+        assert(target != nullptr);
+        // Singleton-swap guard (Lu et al. [11], cited by the paper): when a
+        // lone vertex considers joining another singleton community, only
+        // the smaller-labeled side may move. Without it, synchronous
+        // updates let pairs of singletons swap communities forever — the
+        // oscillation Section III warns about.
+        if (lone && target->members == 1 && c > cu) continue;
+        const double score = e.w - gamma * target->sigma_tot * k / two_m_;
+        // Ties: the default prefers the smaller id only inside a 1e-15
+        // band (kept bit-for-bit); min-label tie-breaking is exact.
+        const bool better =
+            exact_ties ? (score > best_score || (score == best_score && c < best))
+                       : (score > best_score + 1e-15 ||
+                          (score > best_score - 1e-15 && c < best));
+        if (better) {
+          best_score = score;
+          best = c;
+        }
+      }
+      best_[l] = best;
+      gain_[l] = best == cu ? 0.0 : 2.0 * (best_score - stay) / two_m_;
     }
   }
 
@@ -894,8 +762,8 @@ class RankEngine {
   ///
   /// Each move also carries the local Σin pre-aggregation forward: row
   /// (u, from) stops counting toward Σin(from) and row (u, to) starts
-  /// counting toward Σin(to) — both against the *pre-propagation* table
-  /// the fused scan just read; the propagation drain patches in the edge
+  /// counting toward Σin(to) — both against the *pre-propagation* rows
+  /// the FIND walk just read; the propagation drain patches in the edge
   /// re-pointing afterwards (see state_propagation_delta).
   [[nodiscard]] MoveTally update_communities(double cutoff) {
     delta_out_.resize(static_cast<std::size_t>(comm_.nranks()));
@@ -914,9 +782,8 @@ class RankEngine {
         moves_.push_back(Move{l, from, to});
         ref_sub(from);
         ref_add(to);
-        const vid_t u = part_.to_global(comm_.rank(), l);
-        sin_acc_.ref(from) -= out_table_.find(pack_key(u, from)).value_or(0.0);
-        sin_acc_.ref(to) += out_table_.find(pack_key(u, to)).value_or(0.0);
+        sin_acc_.ref(from) -= out_.weight(l, from);
+        sin_acc_.ref(to) += out_.weight(l, to);
         deltas[static_cast<std::size_t>(part_.owner(from))].push_back(
             DeltaMsg{from, -1, -strength_[l]});
         deltas[static_cast<std::size_t>(part_.owner(to))].push_back(
@@ -955,9 +822,8 @@ class RankEngine {
   // -- Σin + modularity (Algorithm 4 lines 18-25) ----------------------------
 
   /// Ships the local Σin pre-aggregation (sin_acc_, maintained by the
-  /// fused find scan + move-time carry + propagation-drain patches — the
-  /// second full Out_Table scan the old compute_sigma_in ran is gone) to
-  /// the community owners. Local pre-aggregation keeps message volume at
+  /// FIND row walk + move-time carry + propagation-drain patches) to the
+  /// community owners. Local pre-aggregation keeps message volume at
   /// one record per (rank, community) pair.
   void exchange_sigma_in() {
     comms_.for_each([](vid_t, CommInfo& info) { info.sigma_in = 0.0; });
@@ -1000,8 +866,11 @@ class RankEngine {
     return std::max(plan.q_tolerance, scaled);
   }
 
+  /// Runs the level's inner loop and returns the Q of the labels it holds;
+  /// level.stop records why the loop ended (the cap unless it broke out).
   double refine(LouvainLevel& level, double q_initial) {
     const RefinePlan& plan = opts_.refine;
+    level.stop = LevelStop::kIterationCap;
     double prev_q = q_initial;
     int stagnant = 0;
     level_moves_ = 0;
@@ -1025,11 +894,13 @@ class RankEngine {
       const double find_s = t.seconds();
       timers_.add(phase::kFindBestCommunity, find_s);
 
+      t.reset();
       double eps = 1.0;
       double cutoff = gain_cutoff(iter, eps);
       // Same allreduced inputs on every rank, so the floored cutoff is
       // globally consistent; -1 (no mover anywhere) passes through.
       if (cutoff >= 0.0 && gain_floor > cutoff) cutoff = gain_floor;
+      timers_.add(phase::kGainCutoff, t.seconds());
 
       t.reset();
       const MoveTally moved = update_communities(cutoff);
@@ -1038,26 +909,19 @@ class RankEngine {
       timers_.add(phase::kUpdateCommunity, update_s);
 
       // Full-vs-delta is a *global* decision (receivers must know whether
-      // to clear Out_Table), taken from allreduced inputs so every rank
-      // picks the same branch: rebuild when the cadence says so, when the
-      // accumulated churn since the last rebuild crosses the adaptive
-      // drift threshold (reacting to actual table turnover rather than a
-      // blind counter — the counter stays as the hard upper bound), or
-      // when the delta would ship at least as many records as a rebuild —
-      // the delta path never loses on traffic.
+      // to clear the Out_Table), taken from allreduced inputs: rebuild on
+      // the cadence, when churn since the last rebuild crosses the adaptive
+      // drift threshold, or when the delta would ship at least as many
+      // records as a rebuild.
       const double churn =
           tables_.in_entries > 0
               ? static_cast<double>(moved.delta_records) /
                     static_cast<double>(tables_.in_entries)
               : 0.0;
-      // In pinned (Session) frontier mode the propagation is forced onto
-      // the delta path: a full rebuild costs O(|In_Table|) — the
-      // cold-start term the dirty-region re-refine exists to avoid — and
-      // only the patches grow the disturbed set. The flag is
-      // command-driven (identical on every rank), so the decision stays
-      // globally consistent. Active scheduling deliberately keeps cadence
-      // rebuilds live: a rebuild reactivates the whole partition, which is
-      // what bounds both the FP drift and the pruning approximation.
+      // A pinned (Session) frontier forces the delta path: a rebuild costs
+      // O(|In_Table|), the cold-start term the re-refine exists to avoid,
+      // and only patches grow the disturbed set. Active scheduling keeps
+      // cadence rebuilds: they bound both FP drift and the pruning.
       const bool rebuild_due =
           !pinned_ &&
           ((plan.full_rebuild_every > 0 &&
@@ -1079,6 +943,7 @@ class RankEngine {
       const double prop_s = t.seconds();
       timers_.add(phase::kStatePropagation, prop_s);
 
+      t.reset();
       exchange_sigma_in();
       // One combined reduction closes the iteration: modularity and the
       // trace's propagation + scan volumes share a single collective
@@ -1094,6 +959,7 @@ class RankEngine {
           [](const IterStats& a, const IterStats& b) {
             return IterStats{a.q + b.q, a.prop_sent + b.prop_sent, a.scanned + b.scanned};
           });
+      timers_.add(phase::kSigmaInExchange, t.seconds());
       const double q = stats.q;
 
       if (opts_.record_trace) {
@@ -1115,7 +981,14 @@ class RankEngine {
       // level's scaled tolerance instead of the final one.
       stagnant = q - prev_q < level_tol ? stagnant + 1 : 0;
       prev_q = q;  // report the Q of the labels we actually hold
-      if (moved.moves == 0 || stagnant >= plan.stagnation_window) break;
+      if (moved.moves == 0) {
+        level.stop = LevelStop::kNoMoves;
+        break;
+      }
+      if (stagnant >= plan.stagnation_window) {
+        level.stop = LevelStop::kStagnated;
+        break;
+      }
     }
     return prev_q;
   }
@@ -1150,8 +1023,8 @@ class RankEngine {
     return labels;
   }
 
-  /// Rewrites the Out_Table into the next level's In_Table (all-to-all) and
-  /// re-derives the level state.
+  /// Rewrites the Out_Table rows into the next level's In_Table
+  /// (all-to-all) and re-derives the level state.
   void graph_reconstruction(const FlatMap<vid_t>& dense, vid_t next_n) {
     graph::Partition1D next_part(opts_.partition, next_n, comm_.nranks());
 
@@ -1161,14 +1034,16 @@ class RankEngine {
                                opts_.hash);
     // Swap the receive target in place so the handler can hash directly.
     pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
-    out_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t u = key_hi(key);
-      const vid_t c = key_lo(key);
-      const vid_t* src = dense.find(label_[part_.to_local(u)]);
-      const vid_t* dst = dense.find(c);
-      assert(src != nullptr && dst != nullptr);
-      agg.push(next_part.owner(*dst), EdgeMsg{*src, *dst, w});
-    });
+    const vid_t local_n = static_cast<vid_t>(label_.size());
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- reconstruction ships every Out_Table entry once per level
+      const vid_t* src = dense.find(label_[l]);
+      assert(src != nullptr);
+      for (const auto& e : out_.row(l)) {
+        const vid_t* dst = dense.find(e.c);
+        assert(dst != nullptr);
+        agg.push(next_part.owner(*dst), EdgeMsg{*src, *dst, e.w});
+      }
+    }
     agg.flush_all_final();
     // Ordered streaming drain: chunks are consumed as they arrive but
     // applied in ascending source-rank order, so the next level's In_Table
@@ -1197,7 +1072,8 @@ class RankEngine {
   weight_t two_m_{0};
 
   hashing::EdgeTable in_table_;
-  hashing::EdgeTable out_table_;
+  // Out_Table: row l over adj_start_[l] (DESIGN.md decision 18).
+  hashing::RowStore out_;
 
   // Per owned vertex (local index):
   std::vector<weight_t> strength_;
@@ -1217,41 +1093,29 @@ class RankEngine {
   int iters_since_rebuild_{0};
   TableFootprint tables_;  // this level's, at its start, summed over ranks
 
-  // Shared frontier infrastructure. While restricted_ is on, only vertices
-  // with a set active_ bit may move, and the delta-propagation drain sets
-  // the bit of every patched vertex (the neighbor wakeup). Two producers
-  // feed it: the pinned Session frontier (pinned_; seeded from changed
-  // edges, forces the delta path, level 0 only) and active-vertex
-  // scheduling (prune_; every level, the set re-derives each delta
-  // iteration as movers ∪ patched and a full rebuild reactivates all).
-  // use_rows_ keeps the per-vertex sorted community rows (rows_) mirrored
-  // off the Out_Table so a small frontier can scan rows instead of the
-  // table. frontier_was_on_ remembers a pinned request across the level
-  // transition (the restriction itself is per-level) so run_levels can
-  // stop after a no-op level 0; level_moves_ is that level's global move
-  // count; scanned_ counts the vertices whose join search the last FIND
-  // actually ran.
+  // Frontier: while restricted_ is on, only vertices with a set active_
+  // bit may move, and the delta drain sets the bit of every patched vertex
+  // (the neighbor wakeup). Fed by the pinned Session frontier (pinned_;
+  // seeded from changed edges, delta path only, level 0 only) and by
+  // active-vertex scheduling (prune_; every level, movers ∪ patched, a
+  // full rebuild reactivates all). frontier_was_on_ outlives the level so
+  // run_levels can stop after a no-op level 0 (level_moves_ counts its
+  // moves); scanned_ counts the vertices the last FIND searched.
   bool pinned_{false};
   bool restricted_{false};
   bool prune_{false};
-  bool use_rows_{false};
   bool frontier_was_on_{false};
   std::vector<std::uint8_t> active_;
-  std::vector<std::vector<RowEntry>> rows_;
   std::uint64_t level_moves_{0};
   std::uint64_t scanned_{0};
   // Level counter for threshold scaling: 0 on every fresh ingestion,
   // incremented by each reconstruction.
   int level_index_{0};
-  // Accumulated fractional Out_Table turnover since the last full rebuild
-  // (Σ delta_records / tables_.in_entries); drives the adaptive rebuild
-  // trigger. Built from allreduced tallies only, so it is identical on
-  // every rank.
+  // Out_Table turnover since the last full rebuild (Σ delta_records /
+  // tables_.in_entries), from allreduced tallies: the adaptive trigger.
   double drift_accum_{0.0};
 
-  // Persistent propagation aggregator: its per-destination chunks are
-  // reacquired from the pool across iterations and levels instead of
-  // being re-set-up per phase.
+  // Persistent propagation aggregator (chunks reused across phases).
   pml::Aggregator<PropMsg> prop_agg_;
 
   FlatMap<CommInfo> comms_;        // owned communities
@@ -1264,10 +1128,8 @@ class RankEngine {
   std::vector<vid_t> refs_dirty_;
 
   // Persistent per-iteration scratch (steady state allocates nothing):
-  // the σ-augmented best score, the positive-gain compaction, the gain
-  // histogram + its reduction scratch, and the streaming Σtot
-  // request/reply staging.
-  std::vector<double> best_score_;
+  // the positive-gain compaction, the gain histogram + its reduction
+  // scratch, and the streaming Σtot request/reply staging.
   std::vector<double> pos_gains_;
   Histogram hist_{0.0, 0.0, 1};
   std::vector<std::uint64_t> hist_scratch_;
@@ -1693,36 +1555,14 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     // to the level-0 topology — then re-refine from the previous epoch's
     // labels, restricted to the disturbed frontier when configured.
     const graph::Partition1D part(opts.partition, new_n, nranks);
-    const auto patch = [&](const graph::EdgeList& batch, bool insert) {
-      for (const Edge& e : batch) {
-        if (e.u == e.v) {
-          if (part.owner(e.u) == me) {
-            if (insert) {
-              in0.insert_or_add(pack_key(e.u, e.u), 2 * e.w);
-            } else {
-              in0.retract(pack_key(e.u, e.u), 2 * e.w);
-            }
-          }
-          continue;
-        }
-        if (part.owner(e.v) == me) {
-          if (insert) {
-            in0.insert_or_add(pack_key(e.u, e.v), e.w);
-          } else {
-            in0.retract(pack_key(e.u, e.v), e.w);
-          }
-        }
-        if (part.owner(e.u) == me) {
-          if (insert) {
-            in0.insert_or_add(pack_key(e.v, e.u), e.w);
-          } else {
-            in0.retract(pack_key(e.v, e.u), e.w);
-          }
-        }
-      }
-    };
-    patch(delta.removals, /*insert=*/false);
-    patch(delta.inserts, /*insert=*/true);
+    for (const Edge& e : delta.removals) {
+      for_each_owned_record(e, part, me,
+                            [&](std::uint64_t key, weight_t w) { in0.retract(key, w); });
+    }
+    for (const Edge& e : delta.inserts) {
+      for_each_owned_record(e, part, me,
+                            [&](std::uint64_t key, weight_t w) { in0.insert_or_add(key, w); });
+    }
     n = new_n;
 
     const std::vector<vid_t> warm = normalize_warm_labels(std::move(labels), n);

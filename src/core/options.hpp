@@ -151,18 +151,9 @@ struct RefinePlan {
   // community changed — the wakeup rides the existing PropMsg stream) are
   // rescanned by FIND; everyone else keeps gain 0 and cannot move. A full
   // cadence/traffic rebuild reactivates the whole partition, so the
-  // incremental-vs-rebuilt exactness story is unchanged. Implies
-  // min-label tie-breaking (the frontier scan order must not affect ties).
+  // incremental-vs-rebuilt exactness story is unchanged. Implies exact
+  // min-label tie-breaking, so a join depends on the scores alone.
   bool active_scheduling{false};
-
-  // Scan-strategy switch for active scheduling: when the live frontier is
-  // at most this fraction of the local partition, FIND walks the per-vertex
-  // community rows of the active vertices only; above it, the fused full
-  // Out_Table scan (with inactive vertices skipped) is cheaper. 0 = always
-  // fused, 1 = always rows. Both strategies produce identical labels (the
-  // equivalence suite pins threshold 0 vs 1), so this is purely a
-  // performance dial.
-  double frontier_scan_threshold{0.25};
 
   // Levels smaller than this refine unrestricted even under active
   // scheduling. Restricting moves to the frontier admits fewer movers per
@@ -457,13 +448,6 @@ struct ParOptions {
     }
     if (!(refine.resolution > 0.0) || !std::isfinite(refine.resolution)) {
       fail("resolution must be a positive finite value, got " + std::to_string(refine.resolution));
-    }
-    // Negated comparisons so NaN fails the range checks.
-    if (!(refine.frontier_scan_threshold >= 0.0) ||
-        !(refine.frontier_scan_threshold <= 1.0)) {
-      fail("frontier_scan_threshold must be in [0, 1], got " +
-           std::to_string(refine.frontier_scan_threshold) +
-           " (0 = always the fused scan, 1 = always the row scan)");
     }
     if (!(refine.initial_tolerance >= 0.0) || !std::isfinite(refine.initial_tolerance)) {
       fail("initial_tolerance must be >= 0 and finite, got " +

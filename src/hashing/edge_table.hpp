@@ -1,22 +1,13 @@
-// EdgeTable — the open-addressing hash table behind In_Table and Out_Table.
+// EdgeTable — the open-addressing hash table behind the In_Table.
 //
-// Both of the paper's tables store ((a,b), w) triples keyed by a packed
-// pair of 32-bit ids (In_Table: (source vertex, owned vertex); Out_Table:
-// (owned vertex, neighbor community)), with insert-or-accumulate semantics
-// and linear probing (Algorithms 3 and 5). In_Table is rebuilt wholesale
-// per level, so fast clear() and dense sequential scans stay first-class.
-//
-// Out_Table is additionally maintained *incrementally*: when a vertex
-// moves community, its in-neighbors' entries are patched with a
-// retraction (old community) / assertion (new community) pair instead of
-// rebuilding the whole table. To support that, every entry carries a
-// contribution count — the number of in-edges currently accumulated into
-// it. retract() removes one contribution, and when the count reaches zero
-// the entry is deleted by backward-shifting the probe chain (tombstone-
-// free, so the table stays dense and scans never stumble over graves).
-// Counting contributions — rather than testing the weight against zero —
-// makes emptiness detection exact even when floating-point accumulation
-// leaves dust in the weight.
+// It stores ((source vertex, owned vertex), w) triples keyed by a packed
+// id pair, with insert-or-accumulate semantics and linear probing
+// (Algorithms 3 and 5); the Out_Table is a hashing::RowStore. A Session
+// patches its resident level-0 In_Table in place, so every entry carries a
+// contribution count: retract() removes one, and at zero the entry is
+// deleted by backward-shifting the probe chain (no tombstones). Counting
+// contributions, not testing the weight against zero, keeps emptiness
+// exact whatever floating-point dust the weight holds.
 //
 // The inverse load factor is configurable; the paper settles on 1/4 as the
 // speed/memory compromise (Fig. 6d) and we default to the same.

@@ -186,6 +186,64 @@ TEST(ParLouvain, PhaseTimersUseFig8Names) {
   EXPECT_GT(r.timers.get(phase::kGraphReconstruction), 0.0);
 }
 
+// The ΔQ̂ cutoff and the Σin exchange (with the iteration's closing
+// allreduce) are named phases of their own, nested in REFINE alongside
+// FIND and UPDATE; on one rank the max-over-ranks reduction is exact, so
+// the four nested phases cannot exceed REFINE.
+TEST(ParLouvain, RefineSubphasesAreNamedAndNested) {
+  const auto graph = gen::lfr({.n = 1000, .mu = 0.3, .seed = 29});
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 1000), opts_with(1));
+  const auto has = [&r](const char* name) {
+    for (const auto& [phase_name, secs] : r.timers.items()) {
+      if (phase_name == name) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has(phase::kGainCutoff));
+  EXPECT_TRUE(has(phase::kSigmaInExchange));
+  const double nested = r.timers.get(phase::kFindBestCommunity) +
+                        r.timers.get(phase::kGainCutoff) +
+                        r.timers.get(phase::kUpdateCommunity) +
+                        r.timers.get(phase::kSigmaInExchange);
+  EXPECT_GT(nested, 0.0);
+  EXPECT_LE(nested, r.timers.get(phase::kRefine));
+}
+
+TEST(ParLouvain, LevelStopReportsTheIterationCap) {
+  const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
+  ParOptions opts = opts_with(2);
+  opts.refine.max_inner_iterations = 1;
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts);
+  ASSERT_FALSE(r.levels.empty());
+  EXPECT_EQ(r.levels.front().stop, LevelStop::kIterationCap);
+}
+
+TEST(ParLouvain, LevelStopReportsStagnation) {
+  // No iteration can gain a whole unit of Q, so the first one that moves
+  // anything already fills a one-iteration stagnation window.
+  const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
+  ParOptions opts = opts_with(2);
+  opts.refine.q_tolerance = 1.0;
+  opts.refine.stagnation_window = 1;
+  const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts);
+  ASSERT_FALSE(r.levels.empty());
+  EXPECT_EQ(r.levels.front().stop, LevelStop::kStagnated);
+  EXPECT_EQ(r.levels.front().trace.modularity.size(), 1u);
+}
+
+TEST(ParLouvain, LevelStopReportsNoMoves) {
+  // Two disjoint edges: the first iteration merges each pair (only the
+  // larger id of a singleton pair may move), the second moves nothing.
+  graph::EdgeList e;
+  e.add(0, 1);
+  e.add(2, 3);
+  const Result r = plv::louvain(GraphSource::from_edges(e, 4), opts_with(2));
+  ASSERT_FALSE(r.levels.empty());
+  EXPECT_EQ(r.levels.front().stop, LevelStop::kNoMoves);
+  EXPECT_EQ(r.levels.front().trace.modularity.size(), 2u);
+  EXPECT_EQ(r.levels.front().num_communities, 2u);
+}
+
 TEST(ParLouvain, TraceRecordsEpsilonAndCutoff) {
   const auto graph = gen::lfr({.n = 600, .mu = 0.4, .seed = 30});
   const Result r = plv::louvain(GraphSource::from_edges(graph.edges, 600), opts_with(2));

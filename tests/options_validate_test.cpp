@@ -128,21 +128,6 @@ TEST(OptionsValidate, RejectsNonFiniteResolution) {
   expect_rejected(opts, "resolution");
 }
 
-TEST(OptionsValidate, RejectsOutOfRangeFrontierScanThreshold) {
-  ParOptions opts;
-  opts.refine.frontier_scan_threshold = -0.1;
-  expect_rejected(opts, "frontier_scan_threshold");
-  opts.refine.frontier_scan_threshold = 1.5;
-  expect_rejected(opts, "frontier_scan_threshold");
-  opts.refine.frontier_scan_threshold = std::nan("");
-  expect_rejected(opts, "frontier_scan_threshold");
-  // Both extremes are meaningful (0 = always fused, 1 = always row scan).
-  opts.refine.frontier_scan_threshold = 0.0;
-  EXPECT_NO_THROW(opts.validate());
-  opts.refine.frontier_scan_threshold = 1.0;
-  EXPECT_NO_THROW(opts.validate());
-}
-
 TEST(OptionsValidate, RejectsBadThresholdScaling) {
   ParOptions opts;
   opts.refine.initial_tolerance = -1e-3;
