@@ -1,20 +1,17 @@
-// Micro-benchmarks (google-benchmark): hash functions, edge-table
-// operations, and the messaging layer's aggregation path. These quantify
-// the constants behind the paper's design choices: Fibonacci hashing is
-// "high-quality and computationally inexpensive" (Section I-B), and
-// insert/scan costs dominate STATE PROPAGATION.
+// Micro-benchmark (google-benchmark): the hash functions. It quantifies
+// the constant behind the paper's choice: Fibonacci hashing is
+// "high-quality and computationally inexpensive" (Section I-B). The
+// EdgeTable's insert and find costs are perfbench's hashing.edgetable_*
+// probes, on the wall clock.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "common/random.hpp"
-#include "gen/rmat.hpp"
-#include "hashing/bucket_table.hpp"
-#include "hashing/edge_table.hpp"
+#include "hashing/hash_fns.hpp"
 
 namespace {
 
-using plv::hashing::EdgeTable;
 using plv::hashing::HashKind;
 
 void BM_HashFunction(benchmark::State& state) {
@@ -32,67 +29,5 @@ BENCHMARK(BM_HashFunction)
     ->Arg(static_cast<int>(HashKind::kLinearCongruential))
     ->Arg(static_cast<int>(HashKind::kBitwise))
     ->Arg(static_cast<int>(HashKind::kConcatenated));
-
-void BM_EdgeTableInsert(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  plv::Xoshiro256 rng(2);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng();
-  for (auto _ : state) {
-    EdgeTable t(n, 0.25);
-    for (std::uint64_t k : keys) t.insert_or_add(k, 1.0);
-    benchmark::DoNotOptimize(t.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EdgeTableInsert)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 18);
-
-void BM_EdgeTableInsertLoadFactor(benchmark::State& state) {
-  // The paper's Fig. 6d trade-off, as time instead of bin length.
-  const double load = 1.0 / static_cast<double>(state.range(0));
-  constexpr std::size_t kN = 1 << 16;
-  plv::Xoshiro256 rng(3);
-  std::vector<std::uint64_t> keys(kN);
-  for (auto& k : keys) k = rng();
-  for (auto _ : state) {
-    EdgeTable t(kN, load);
-    for (std::uint64_t k : keys) t.insert_or_add(k, 1.0);
-    benchmark::DoNotOptimize(t.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kN));
-}
-BENCHMARK(BM_EdgeTableInsertLoadFactor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_EdgeTableScan(benchmark::State& state) {
-  constexpr std::size_t kN = 1 << 16;
-  plv::Xoshiro256 rng(4);
-  EdgeTable t(kN, 0.25);
-  for (std::size_t i = 0; i < kN; ++i) t.insert_or_add(rng(), 1.0);
-  for (auto _ : state) {
-    double sum = 0;
-    t.for_each([&](std::uint64_t, double w) { sum += w; });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kN));
-}
-BENCHMARK(BM_EdgeTableScan);
-
-void BM_EdgeTableInsertRmatKeys(benchmark::State& state) {
-  // Real workload shape: R-MAT edge keys instead of uniform random.
-  plv::gen::RmatParams p;
-  p.scale = 14;
-  p.edge_factor = 8;
-  const auto edges = plv::gen::rmat(p);
-  for (auto _ : state) {
-    EdgeTable t(edges.size(), 0.25);
-    for (const auto& e : edges.edges()) {
-      t.insert_or_add(plv::pack_key(e.u, e.v), e.w);
-    }
-    benchmark::DoNotOptimize(t.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(edges.size()));
-}
-BENCHMARK(BM_EdgeTableInsertRmatKeys);
 
 }  // namespace

@@ -51,8 +51,8 @@ struct LevelTrace {
 
 /// A level's engine footprint at its start, summed over ranks: the
 /// In_Table entries it refines and the slots every scan and clear of the
-/// level walks: the In_Table's and community maps' hash slots plus the
-/// Out_Table row slab (one slot per In_Table entry).
+/// level walks: the In_Table and Out_Table row slabs (one slot per
+/// In_Table entry each) plus the community maps' hash slots.
 struct TableFootprint {
   std::uint64_t in_entries{0};
   std::uint64_t slots{0};

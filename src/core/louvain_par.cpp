@@ -15,7 +15,6 @@
 #include "common/sync.hpp"
 #include "common/timer.hpp"
 #include "core/session.hpp"
-#include "hashing/edge_table.hpp"
 #include "hashing/row_store.hpp"
 #include "pml/aggregator.hpp"
 
@@ -98,34 +97,6 @@ struct CommInfo {
   std::int64_t members{0};
 };
 
-/// Calls fn(key, w) for each level-0 In_Table record of edge `e` that rank
-/// `me` holds: ((v, u), w) per in-edge of an owned u, a self-loop stored
-/// as A(u, u) = 2w.
-template <typename Fn>
-void for_each_owned_record(const Edge& e, const graph::Partition1D& part, int me, Fn&& fn) {
-  if (e.u == e.v) {
-    if (part.owner(e.u) == me) fn(pack_key(e.u, e.u), 2 * e.w);
-    return;
-  }
-  if (part.owner(e.v) == me) fn(pack_key(e.u, e.v), e.w);
-  if (part.owner(e.u) == me) fn(pack_key(e.v, e.u), e.w);
-}
-
-/// Fills `table` with rank `me`'s slice of the level-0 In_Table. Shared by
-/// one-shot ingestion (RankEngine::init_from_edges) and the Session's
-/// resident-table cold rebuilds: the table layout — and with it every
-/// downstream scan order — depends on the insertion sequence, so running
-/// the *same* fill over the same list is what makes a cold rebuild inside
-/// a fleet bit-identical to a one-shot run.
-void fill_in_table(hashing::EdgeTable& table, const graph::EdgeList& edges,
-                   const graph::Partition1D& part, int me, int nranks) {
-  table.reset(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
-  for (const Edge& e : edges) {
-    for_each_owned_record(e, part, me,
-                          [&](std::uint64_t key, weight_t w) { table.insert_or_add(key, w); });
-  }
-}
-
 // ---------------------------------------------------------------------------
 // One rank's view of one level plus the phase machinery.
 // ---------------------------------------------------------------------------
@@ -136,32 +107,31 @@ class RankEngine {
       : comm_(comm),
         opts_(opts),
         part_(opts.partition, 0, comm.nranks()),
-        in_table_(0, opts.table_max_load, opts.hash),
         prop_agg_(comm, opts.aggregator_capacity),
         sigma_reqs_(static_cast<std::size_t>(comm.nranks())) {
     comm_.set_chunk_pool_watermark(opts.chunk_pool_watermark);
   }
 
-  /// Builds level 0 from the (shared, read-only) global edge list.
+  /// Builds level 0 from the (shared, read-only) global edge list: the
+  /// rows of the owned vertices, an in-edge (v, u) per edge endpoint u this
+  /// rank owns and a self-loop as A(u, u) = 2w. The rows depend only on
+  /// the list, so a Session pass over its replica and a one-shot run over
+  /// the same list start from the same level 0.
   void init_from_edges(const graph::EdgeList& edges, vid_t n) {
     part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
-    fill_in_table(in_table_, edges, part_, comm_.rank(), comm_.nranks());
-    init_level_state();
-    two_m_ = comm_.allreduce_sum(local_strength_sum());
-  }
-
-  /// Builds level 0 from an already-filled In_Table slice — the Session's
-  /// resident table. The slice is *copied*, and a copy preserves the exact
-  /// array layout, so a table filled by fill_in_table drives the same run
-  /// a cold init_from_edges on the same list would (bit for bit), while a
-  /// delta-patched table drives the incremental re-refine.
-  void init_from_table(const hashing::EdgeTable& in0, vid_t n) {
-    part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
-    n_level_ = n;
-    level_index_ = 0;
-    in_table_ = in0;
+    const int me = comm_.rank();
+    in_.build(part_.local_count(me), [&](auto&& sink) {
+      for (const Edge& e : edges) {
+        if (e.u == e.v) {
+          if (part_.owner(e.u) == me) sink(part_.to_local(e.u), e.u, 2 * e.w);
+          continue;
+        }
+        if (part_.owner(e.v) == me) sink(part_.to_local(e.v), e.u, e.w);
+        if (part_.owner(e.u) == me) sink(part_.to_local(e.u), e.v, e.w);
+      }
+    });
     init_level_state();
     two_m_ = comm_.allreduce_sum(local_strength_sum());
   }
@@ -171,7 +141,7 @@ class RankEngine {
   /// retraction/assertion patch later touches, which is exactly how a
   /// neighbor learns its community surroundings changed — may move;
   /// everyone else's gain is zeroed before the threshold histogram. Call
-  /// after init_from_table + warm_start. Level 0 only: reconstruction
+  /// after init_from_edges + warm_start. Level 0 only: reconstruction
   /// lifts the restriction, and run_levels stops after level 0 when the
   /// frontier never produced a move (an undisturbed partition cannot
   /// change at coarser levels either).
@@ -217,7 +187,7 @@ class RankEngine {
   }
 
   /// Builds level 0 from this rank's slice of a distributed edge stream:
-  /// every In_Table entry is routed to its owner through the aggregators
+  /// every in-edge is routed to its owner through the aggregators
   /// (records written straight into pooled chunks; the drain blocks on the
   /// mailbox instead of spinning on collectives), so no rank ever
   /// materializes the global edge list. A slice endpoint outside [0, n)
@@ -235,7 +205,6 @@ class RankEngine {
     part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
-    in_table_.reset(2 * slice.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
     pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
     for (const Edge& e : slice) {
       if (e.u == e.v) {
@@ -246,14 +215,7 @@ class RankEngine {
       agg.push(part_.owner(e.u), EdgeMsg{e.v, e.u, e.w});
     }
     agg.flush_all_final();
-    // Ordered streaming drain: arrivals apply in source-rank order, so the
-    // table layout (and every scan over it) is deterministic across runs
-    // and transports instead of arrival-timing dependent.
-    comm_.drain_streaming_finalized<EdgeMsg>([&](int, std::span<const EdgeMsg> msgs) {
-      for (const EdgeMsg& m : msgs) {
-        in_table_.insert_or_add(pack_key(m.src, m.dst), m.w);
-      }
-    });
+    build_in_from_drain();
     init_level_state();
     two_m_ = comm_.allreduce_sum(local_strength_sum());
   }
@@ -308,11 +270,6 @@ class RankEngine {
   [[nodiscard]] vid_t level_vertex_count() const noexcept { return n_level_; }
 
  private:
-  struct InEdge {
-    vid_t v;      // non-owned endpoint of the in-edge (v, u)
-    weight_t w;
-  };
-
   struct Move {
     vid_t l;      // local index of the moved vertex
     vid_t from;
@@ -328,8 +285,23 @@ class RankEngine {
 
   // -- level state ----------------------------------------------------------
 
-  /// Derives per-vertex arrays, the in-edge adjacency, and community
-  /// bookkeeping from In_Table.
+  /// Builds the In_Table rows from the EdgeMsgs the aggregators route
+  /// here. The ordered drain buffers them in source-rank order, so the
+  /// rows, and the order equal neighbors combine in, do not depend on
+  /// arrival timing or transport.
+  void build_in_from_drain() {
+    std::vector<EdgeMsg> arrived;
+    comm_.drain_streaming_finalized<EdgeMsg>([&](int /*src*/,
+                                                 std::span<const EdgeMsg> msgs) {
+      arrived.insert(arrived.end(), msgs.begin(), msgs.end());
+    });
+    in_.build(part_.local_count(comm_.rank()), [&](auto&& sink) {
+      for (const EdgeMsg& m : arrived) sink(part_.to_local(m.dst), m.src, m.w);
+    });
+  }
+
+  /// Derives per-vertex arrays and community bookkeeping from the In_Table
+  /// rows.
   void init_level_state() {
     const vid_t local_n = part_.local_count(comm_.rank());
     strength_.assign(local_n, 0.0);
@@ -338,41 +310,25 @@ class RankEngine {
     best_.assign(local_n, kInvalidVid);
     gain_.assign(local_n, 0.0);
     stay_score_.assign(local_n, 0.0);
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
-      label_[l] = part_.to_global(comm_.rank(), l);
-    }
-    // CSR-style in-edge adjacency per owned vertex: propagation walks it
-    // (a delta only the moved vertices' rows) instead of the In_Table.
-    adj_start_.assign(static_cast<std::size_t>(local_n) + 1, 0);
-    in_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t u = key_lo(key);
-      const vid_t v = key_hi(key);
-      const vid_t l = part_.to_local(u);
-      strength_[l] += w;
-      if (v == u) self_loop_[l] = w;
-      ++adj_start_[static_cast<std::size_t>(l) + 1];
-    });
-    for (std::size_t i = 1; i < adj_start_.size(); ++i) adj_start_[i] += adj_start_[i - 1];
-    adj_.resize(in_table_.size());
-    std::vector<std::size_t> cursor(adj_start_.begin(), adj_start_.end() - 1);
-    in_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const std::size_t l = part_.to_local(key_lo(key));
-      adj_[cursor[l]++] = InEdge{key_hi(key), w};
-    });
 
     // Every engine table starts the level fresh, sized for this level
     // alone (DESIGN.md decision 17): no capacity, and so no probe order,
-    // outlives its level. The Out_Table rows take the adjacency's layout:
+    // outlives its level. The Out_Table rows take the In_Table's layout:
     // a vertex's row never holds more entries than its In_Table degree
     // (DESIGN.md decision 18). The Σtot request tables start empty; the
     // level's first request rebuild and first FIND size them.
-    out_.reset(adj_start_);
+    out_.reset(in_.layout());
     comms_ = FlatMap<CommInfo>(static_cast<std::size_t>(local_n) + 1);
     sin_acc_ = FlatMap<weight_t>(static_cast<std::size_t>(local_n) + 1);
     comm_refs_ = FlatMap<std::uint32_t>();
     sigma_cache_ = FlatMap<SigmaRep>();
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
       const vid_t u = part_.to_global(comm_.rank(), l);
+      label_[l] = u;
+      for (const auto& e : in_.row(l)) {
+        strength_[l] += e.w;
+        if (e.c == u) self_loop_[l] = e.w;
+      }
       comms_.ref(u) = CommInfo{strength_[l], 0.0, 1};
     }
     moves_.clear();
@@ -381,8 +337,8 @@ class RankEngine {
     // summed over ranks. The per-iteration full-vs-delta decision compares
     // the (allreduced) delta cost against this. The rest of the level's
     // table footprint rides the same reduction.
-    const TableFootprint local{in_table_.size(),
-                               in_table_.capacity() + out_.capacity() +
+    const TableFootprint local{in_.size(),
+                               in_.capacity() + out_.capacity() +
                                    comms_.capacity() + sin_acc_.capacity() +
                                    comm_refs_.capacity() + sigma_cache_.capacity()};
     tables_ = comm_.allreduce(local, [](const TableFootprint& a, const TableFootprint& b) {
@@ -412,7 +368,7 @@ class RankEngine {
 
   // -- STATE PROPAGATION (Algorithm 3) --------------------------------------
 
-  /// Full rebuild: re-ships every in-edge (from the adjacency) under its
+  /// Full rebuild: re-ships every in-edge (from the In_Table) under its
   /// owner's current label; the rows fill in drain order and seal() sorts
   /// and combines them. Re-derives the Σtot request bookkeeping, resetting
   /// any drift the incremental path accumulated on non-integer weights.
@@ -424,9 +380,7 @@ class RankEngine {
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- a full rebuild ships every in-edge by definition
       const vid_t c = label_[l];
-      for (std::size_t i = adj_start_[l]; i < adj_start_[static_cast<std::size_t>(l) + 1]; ++i) {
-        prop_agg_.push(part_.owner(adj_[i].v), PropMsg{adj_[i].v, c, adj_[i].w});
-      }
+      for (const auto& e : in_.row(l)) prop_agg_.push(part_.owner(e.c), PropMsg{e.c, c, e.w});
     }
     prop_agg_.flush_all_final();
     comm_.drain_streaming_finalized<PropMsg>([&](int /*src*/,
@@ -468,13 +422,10 @@ class RankEngine {
     }
     for (const Move& mv : moves_) {
       assert(mv.from < kRetractBit && mv.to < kRetractBit);
-      const std::size_t begin = adj_start_[mv.l];
-      const std::size_t end = adj_start_[static_cast<std::size_t>(mv.l) + 1];
-      for (std::size_t i = begin; i < end; ++i) {
-        const InEdge& e = adj_[i];
-        const int dest = part_.owner(e.v);
-        prop_agg_.push(dest, PropMsg{e.v, mv.from | kRetractBit, e.w});
-        prop_agg_.push(dest, PropMsg{e.v, mv.to, e.w});
+      for (const auto& e : in_.row(mv.l)) {
+        const int dest = part_.owner(e.c);
+        prop_agg_.push(dest, PropMsg{e.c, mv.from | kRetractBit, e.w});
+        prop_agg_.push(dest, PropMsg{e.c, mv.to, e.w});
       }
     }
     prop_agg_.flush_all_final();
@@ -789,8 +740,7 @@ class RankEngine {
         deltas[static_cast<std::size_t>(part_.owner(to))].push_back(
             DeltaMsg{to, +1, strength_[l]});
         ++local.moves;
-        local.delta_records +=
-            2 * (adj_start_[static_cast<std::size_t>(l) + 1] - adj_start_[l]);
+        local.delta_records += 2 * in_.row(l).size();
       }
     }
     // The global move tally piggybacks on the delta exchange itself:
@@ -1026,13 +976,7 @@ class RankEngine {
   /// Rewrites the Out_Table rows into the next level's In_Table
   /// (all-to-all) and re-derives the level state.
   void graph_reconstruction(const FlatMap<vid_t>& dense, vid_t next_n) {
-    graph::Partition1D next_part(opts_.partition, next_n, comm_.nranks());
-
-    // Sized from the next level alone (its owned vertex count); growth
-    // covers the rest, so capacity follows the entries that arrive.
-    hashing::EdgeTable next_in(next_part.local_count(comm_.rank()), opts_.table_max_load,
-                               opts_.hash);
-    // Swap the receive target in place so the handler can hash directly.
+    const graph::Partition1D next_part(opts_.partition, next_n, comm_.nranks());
     pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- reconstruction ships every Out_Table entry once per level
@@ -1045,20 +989,9 @@ class RankEngine {
       }
     }
     agg.flush_all_final();
-    // Ordered streaming drain: chunks are consumed as they arrive but
-    // applied in ascending source-rank order, so the next level's In_Table
-    // layout is arrival-timing independent (and identical across
-    // transports).
-    comm_.drain_streaming_finalized<EdgeMsg>([&](int /*src*/,
-                                                 std::span<const EdgeMsg> msgs) {
-      for (const EdgeMsg& m : msgs) {
-        next_in.insert_or_add(pack_key(m.src, m.dst), m.w);
-      }
-    });
-
-    in_table_ = std::move(next_in);
     part_ = next_part;
     n_level_ = next_n;
+    build_in_from_drain();
     init_level_state();
     ++level_index_;  // the next refine round runs one tolerance step tighter
   }
@@ -1071,8 +1004,10 @@ class RankEngine {
   vid_t n_level_{0};
   weight_t two_m_{0};
 
-  hashing::EdgeTable in_table_;
-  // Out_Table: row l over adj_start_[l] (DESIGN.md decision 18).
+  // In_Table: row l holds the (neighbor v, count, w) of every in-edge
+  // (v, u_l), sorted by v; built once per level (DESIGN.md decision 1).
+  hashing::RowStore in_;
+  // Out_Table: row l over the In_Table's layout (DESIGN.md decision 18).
   hashing::RowStore out_;
 
   // Per owned vertex (local index):
@@ -1082,11 +1017,6 @@ class RankEngine {
   std::vector<vid_t> best_;
   std::vector<double> gain_;
   std::vector<double> stay_score_;
-
-  // In-edge adjacency (CSR over local indices), derived from In_Table once
-  // per level; row l holds the (v, w) of every in-edge (v, u_l).
-  std::vector<std::size_t> adj_start_;
-  std::vector<InEdge> adj_;
 
   // Moves of the current iteration, replayed by the delta propagation.
   std::vector<Move> moves_;
@@ -1389,9 +1319,9 @@ Result streamed_impl(const EdgeSliceFn& slice_of, vid_t n_vertices, const ParOpt
 
 // ---------------------------------------------------------------------------
 // The resident fleet body behind plv::Session (core/session.hpp). Every
-// rank holds a patchable replica of the evolving edge list plus its slice
-// of the level-0 In_Table; rank 0 — which every transport runs inside the
-// calling process — doubles as the command pump.
+// rank holds a patchable replica of the evolving edge list, from which
+// every detection pass builds level 0; rank 0 — which every transport runs
+// inside the calling process — doubles as the command pump.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -1436,25 +1366,19 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
   }
   vid_t n = std::max(shared.init_n, edges.vertex_count());
 
-  hashing::EdgeTable in0(0, opts.table_max_load, opts.hash);
-  {
-    const graph::Partition1D part(opts.partition, n, nranks);
-    fill_in_table(in0, edges, part, me, nranks);
-  }
   std::vector<vid_t> labels;  // latest full label vector (every rank)
   int batches_since_cold = 0;
 
-  // One detection pass over the resident table. The engine is built fresh
-  // per pass because some of its state spans a whole pass (the phase
-  // timers, the pinned-frontier flag run_levels consults). Its hash tables
-  // would not need it: every level starts them fresh, sized by that
-  // level's In_Table alone (DESIGN.md decision 17), so their scan orders
-  // match a one-shot cold run's either way.
+  // One detection pass over the replica. The engine is built fresh per
+  // pass because some of its state spans a whole pass (the phase timers,
+  // the pinned-frontier flag run_levels consults). Level 0 is built from
+  // the replica on every pass, cold or incremental, so it is exactly the
+  // level 0 a one-shot run on the same list starts from.
   const auto detect = [&](const std::vector<vid_t>* warm,
                           const std::vector<vid_t>* frontier_seeds) {
     WallTimer busy;
     RankEngine engine(comm, opts);
-    engine.init_from_table(in0, n);
+    engine.init_from_edges(edges, n);
     if (warm != nullptr) engine.warm_start(*warm);
     if (frontier_seeds != nullptr) engine.enable_frontier(*frontier_seeds);
     return run_levels(comm, engine, n, opts, busy);
@@ -1533,38 +1457,23 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
         edges_before == 0 ||
         static_cast<double>(delta.size()) >
             opts.streaming.max_delta_fraction * static_cast<double>(edges_before);
-    // The incremental path needs ownership that survives vertex growth
-    // (cyclic) and the PropMsg retraction encoding (ids below the bit).
+    // The incremental path is kept to the cyclic partition (the Session
+    // constructor rejects a block-partition frontier) and needs the PropMsg
+    // retraction encoding (ids below the bit).
     const bool incremental_capable =
         opts.partition == graph::PartitionKind::kCyclic && new_n < kRetractBit;
 
+    n = new_n;
     if (cadence_due || too_big || !incremental_capable) {
-      // Cold rebuild inside the resident fleet: refill the In_Table from
-      // scratch — a fresh fill_in_table layout, hence bit-identical to a
-      // one-shot run on the updated list — and run from singletons.
-      const graph::Partition1D part(opts.partition, new_n, nranks);
-      fill_in_table(in0, edges, part, me, nranks);
-      n = new_n;
+      // Cold rebuild inside the resident fleet: a run from singletons on
+      // the updated list, bit-identical to a one-shot run on it.
       batches_since_cold = 0;
       publish(cmd.seq, detect(nullptr, nullptr), false);
       continue;
     }
 
-    // Incremental apply: patch the resident In_Table in place — the same
-    // retraction/assertion idea the Out_Table runs per iteration, applied
-    // to the level-0 topology — then re-refine from the previous epoch's
-    // labels, restricted to the disturbed frontier when configured.
-    const graph::Partition1D part(opts.partition, new_n, nranks);
-    for (const Edge& e : delta.removals) {
-      for_each_owned_record(e, part, me,
-                            [&](std::uint64_t key, weight_t w) { in0.retract(key, w); });
-    }
-    for (const Edge& e : delta.inserts) {
-      for_each_owned_record(e, part, me,
-                            [&](std::uint64_t key, weight_t w) { in0.insert_or_add(key, w); });
-    }
-    n = new_n;
-
+    // Incremental apply: re-refine the updated graph from the previous
+    // epoch's labels, restricted to the disturbed frontier when configured.
     const std::vector<vid_t> warm = normalize_warm_labels(std::move(labels), n);
     std::vector<vid_t> seeds;
     seeds.reserve(2 * delta.size());

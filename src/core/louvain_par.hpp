@@ -2,7 +2,8 @@
 // contribution (Algorithms 2–5).
 //
 // Every rank owns a 1-D slice of the vertices plus the communities whose
-// label vertex it owns. Two hash tables per rank carry the graph:
+// label vertex it owns. Two tables per rank carry the graph, each one
+// row per owned vertex, sorted by key (hashing::RowStore):
 //
 //   In_Table  — ((v, u), w) for owned u: the in-edges, immutable within a
 //               level; the authoritative copy of the topology.

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/partition.hpp"
-#include "hashing/hash_fns.hpp"
 #include "pml/transport.hpp"
 #include "pml/transport_check.hpp"
 #include "pml/transport_hybrid.hpp"
@@ -334,11 +333,6 @@ struct ParOptions {
   // otherwise).
   bool validate_transport{pml::kValidateTransportDefault};
 
-  // Hash-table configuration (Section V-C). 1/4 load factor is the
-  // paper's chosen speed/memory compromise.
-  hashing::HashKind hash{hashing::HashKind::kFibonacci};
-  double table_max_load{0.25};
-
   // Messaging: per-destination coalescing buffer, in records.
   // kAutoAggregatorCapacity sizes it from the fleet size and record width
   // (pml::auto_aggregator_capacity); explicit values are honored for
@@ -412,9 +406,6 @@ struct ParOptions {
     }
     if (refine.gain_histogram_bins < 1) {
       fail("gain_histogram_bins must be >= 1, got " + std::to_string(refine.gain_histogram_bins));
-    }
-    if (!(table_max_load > 0.0) || !(table_max_load <= 1.0)) {
-      fail("table_max_load must be in (0, 1], got " + std::to_string(table_max_load));
     }
     // Records are at most a few dozen bytes; this bound keeps
     // capacity * record_size far from std::size_t overflow while allowing

@@ -18,8 +18,8 @@ Session::Session(const GraphSource& source, const core::ParOptions& opts) {
   if (opts.streaming.frontier && opts.partition == graph::PartitionKind::kBlock) {
     throw std::invalid_argument(
         "Session: StreamingPlan::frontier requires the cyclic partition — block "
-        "ownership shifts when the vertex count grows, which would invalidate the "
-        "resident In_Table slices (set streaming.frontier = false or "
+        "ownership shifts when the vertex count grows, and the incremental path "
+        "runs on the cyclic partition only (set streaming.frontier = false or "
         "partition = kCyclic)");
   }
   if (opts.transport == pml::TransportKind::kTcp && opts.tcp_rank > 0) {

@@ -4,7 +4,8 @@
 // lengths when an R-MAT edge set is hashed across the threads of a node.
 // Chaining makes "bin length" directly observable (an open-addressing
 // probe chain conflates neighboring bins), so the hash-behavior bench uses
-// this table while the algorithm itself uses the faster EdgeTable.
+// this table. The engine itself keeps each level's graph as sorted rows
+// (hashing::RowStore) and hashes only its per-community maps (FlatMap).
 #pragma once
 
 #include <algorithm>

@@ -1,9 +1,11 @@
-// EdgeTable — the open-addressing hash table behind the In_Table.
+// EdgeTable — an open-addressing hash table of packed-key edge weights.
 //
 // It stores ((source vertex, owned vertex), w) triples keyed by a packed
-// id pair, with insert-or-accumulate semantics and linear probing
-// (Algorithms 3 and 5); the Out_Table is a hashing::RowStore. A Session
-// patches its resident level-0 In_Table in place, so every entry carries a
+// id pair, with insert-or-accumulate semantics and linear probing: the
+// paper's In_Table/Out_Table layout (Algorithms 3 and 5). The engine keeps
+// both tables as hashing::RowStore rows instead (DESIGN.md decision 1);
+// EdgeTable remains the hashed reference the row store is tested against
+// and perfbench's hashing probes measure. Every entry carries a
 // contribution count: retract() removes one, and at zero the entry is
 // deleted by backward-shifting the probe chain (no tombstones). Counting
 // contributions, not testing the weight against zero, keeps emptiness

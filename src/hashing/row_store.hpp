@@ -1,23 +1,29 @@
-// RowStore — the Out_Table as contiguous per-vertex community rows.
+// RowStore — contiguous per-vertex rows, sorted by key, in one shared slab.
 //
-// Row l holds vertex l's (community, contribution count, weight) entries,
-// sorted by community, in one shared slab: it starts at start[l] and holds
-// at most start[l+1] - start[l] entries. The engine sizes a row by the
-// vertex's In_Table degree: the vertex receives one record per in-edge and
-// a retraction always precedes its assertion, so a row's counts never sum
-// past its degree. Overflow is a caller bug and throws std::logic_error
-// (checked in release builds too).
+// The engine keeps both of a level's tables in it. The In_Table is the
+// level's adjacency: row l holds vertex l's (neighbor, contribution count,
+// weight) entries. The Out_Table holds vertex l's (community, count,
+// weight) entries. Row l starts at start[l] and holds at most
+// start[l+1] - start[l] entries; overflow is a caller bug and throws
+// std::logic_error (checked in release builds too).
+//
+// build() makes the adjacency: it counts each row's contributions, lays the
+// rows out, appends, seal()s and compact()s, so the slab ends with one slot
+// per distinct entry. The Out_Table takes the adjacency's layout: a vertex
+// receives one record per in-edge and a retraction always precedes its
+// assertion, so its row's counts never sum past its In_Table degree.
 //
 // A full rebuild appends records in arrival order and seal()s: each row is
-// stable-sorted by community and equal communities combine left to right,
-// so every weight is bitwise the sum a hashed table accumulating the same
-// records holds. A patch (add / retract) is a binary search plus a shift
-// within the row; an entry leaves when its count reaches zero, whatever
-// floating-point dust its weight still holds.
+// stable-sorted by key and equal keys combine left to right, so every
+// weight is bitwise the sum a hashed table accumulating the same records
+// holds. A patch (add / retract) is a binary search plus a shift within the
+// row; an entry leaves when its count reaches zero, whatever floating-point
+// dust its weight still holds.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -31,7 +37,7 @@ namespace plv::hashing {
 class RowStore {
  public:
   struct Entry {
-    vid_t c;
+    vid_t c;              // the key: a community, or a neighbor in the adjacency
     std::uint32_t count;  // contributions accumulated into this entry
     weight_t w;
   };
@@ -58,7 +64,7 @@ class RowStore {
     slab_[start_[row] + len++] = Entry{c, 1, w};
   }
 
-  /// Ends a full rebuild: stable sort by community, combine in order.
+  /// Ends a full rebuild: stable sort by key, combine in order.
   void seal() {
     size_ = 0;
     for (std::size_t row = 0; row < len_.size(); ++row) {
@@ -86,6 +92,20 @@ class RowStore {
       len_[row] = static_cast<std::uint32_t>(out - first);
       size_ += len_[row];
     }
+  }
+
+  /// Builds `rows` rows from scratch out of the (row, key, w) contributions
+  /// `emit(sink)` passes to `sink`. It is called twice and must replay the
+  /// same sequence: once to count each row, once to append.
+  template <typename Emit>
+  void build(std::size_t rows, const Emit& emit) {
+    std::vector<std::size_t> start(rows + 1, 0);
+    emit([&](std::size_t row, vid_t, weight_t) { ++start[row + 1]; });
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    reset(std::move(start));
+    emit([&](std::size_t row, vid_t c, weight_t w) { append(row, c, w); });
+    seal();
+    compact();
   }
 
   /// Adds one contribution to (row, c); true if the entry is new.
@@ -138,16 +158,33 @@ class RowStore {
     return {slab_.data() + start_[r], len_[r]};
   }
 
+  /// The row offsets (rows + 1 of them), the layout reset() takes.
+  [[nodiscard]] const std::vector<std::size_t>& layout() const noexcept { return start_; }
   [[nodiscard]] std::size_t rows() const noexcept { return len_.size(); }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return slab_.size(); }
 
  private:
+  /// Packs the rows back to back, so each row's capacity is its length and
+  /// the slab holds size() entries.
+  void compact() {
+    std::size_t at = 0;
+    for (std::size_t row = 0; row < len_.size(); ++row) {
+      const Entry* first = slab_.data() + start_[row];
+      if (at != start_[row]) std::copy(first, first + len_[row], slab_.data() + at);
+      start_[row] = at;
+      at += len_[row];
+    }
+    start_.back() = at;
+    slab_.resize(at);
+    slab_.shrink_to_fit();
+  }
+
   [[nodiscard]] std::size_t cap(std::size_t row) const noexcept {
     return start_[row + 1] - start_[row];
   }
 
-  /// Slab index of the first entry of `row` whose community is >= c.
+  /// Slab index of the first entry of `row` whose key is >= c.
   [[nodiscard]] std::size_t lower_bound(std::size_t row, vid_t c) const noexcept {
     const Entry* first = slab_.data() + start_[row];
     const Entry* it = std::lower_bound(first, first + len_[row], c,

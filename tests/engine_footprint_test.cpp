@@ -1,5 +1,5 @@
-// Engine footprint: every level's hash tables are sized by that level's
-// own In_Table, not by the largest level the run has passed through. The
+// Engine footprint: every level's tables are sized by that level's own
+// In_Table, not by the largest level the run has passed through. The
 // invariant is checked through LouvainLevel::tables (and a Session
 // snapshot's copy of it), which every build type reports — the engine's
 // asserts are compiled out of release builds.
@@ -18,6 +18,8 @@
 #include "core/session.hpp"
 #include "gen/bter.hpp"
 #include "gen/lfr.hpp"
+#include "graph/csr.hpp"
+#include "metrics/modularity.hpp"
 #include "transport_param.hpp"
 
 namespace plv {
@@ -116,9 +118,13 @@ TEST_P(EngineFootprint, SessionApplyTablesTrackEachLevel) {
     const auto v = static_cast<vid_t>((u + 1 + rng.next_below(in.n - 1)) % in.n);
     delta.inserts.add(u, v, 1.0);
   }
+  // A second, heavier copy of an existing edge, so a later removal can
+  // leave that edge's entry in place.
+  const Edge twin = in.edges.edges()[1];
+  delta.inserts.add(twin.u, twin.v, 2.0);
   apply_edge_delta(mirror, delta);
-  // fast(): the frontier re-refine on the patched resident In_Table;
-  // deterministic(): a cold rebuild that refills it, then every level.
+  // fast(): the frontier re-refine on level 0 rebuilt from the replica;
+  // deterministic(): a cold rebuild, then every level.
   for (const bool incremental : {true, false}) {
     SCOPED_TRACE(incremental ? "fast" : "deterministic");
     core::ParOptions opts = opts_with(nranks);
@@ -127,11 +133,43 @@ TEST_P(EngineFootprint, SessionApplyTablesTrackEachLevel) {
     Session session(GraphSource::from_edges(in.edges, in.n), opts);
     const auto snap = session.apply(delta);
     ASSERT_EQ(snap->incremental, incremental);
-    if (!incremental) EXPECT_GE(snap->tables.size(), 2u);
+    if (!incremental) {
+      EXPECT_GE(snap->tables.size(), 2u);
+    }
     ASSERT_FALSE(snap->tables.empty());
     EXPECT_EQ(snap->tables.front().in_entries, level0_keys(mirror).size());
     expect_level_proportional(snap->tables, nranks);
   }
+
+  // Removals on the fast path: the only copy of one edge (its entries
+  // leave) and the unit copy of the doubled edge (its entries stay, now
+  // weighing the remaining 2.0).
+  const Edge lone = in.edges.edges()[0];
+  const auto copies = [&](const Edge& e) {
+    return std::count_if(mirror.begin(), mirror.end(), [&](const Edge& r) {
+      return (r.u == e.u && r.v == e.v) || (r.u == e.v && r.v == e.u);
+    });
+  };
+  ASSERT_EQ(copies(lone), 1);
+  ASSERT_EQ(copies(twin), 2);
+  core::ParOptions opts = opts_with(nranks);
+  opts.streaming = core::StreamingPlan::fast();
+  Session session(GraphSource::from_edges(mirror, in.n), opts);
+  EdgeDelta removals;
+  removals.removals.add(lone.u, lone.v, lone.w);
+  removals.removals.add(twin.u, twin.v, twin.w);
+  apply_edge_delta(mirror, removals);
+  ASSERT_EQ(copies(lone), 0);
+  ASSERT_EQ(copies(twin), 1);
+  const auto snap = session.apply(removals);
+  ASSERT_TRUE(snap->incremental);
+  ASSERT_FALSE(snap->tables.empty());
+  EXPECT_EQ(snap->tables.front().in_entries, level0_keys(mirror).size());
+  expect_level_proportional(snap->tables, nranks);
+  // The reported Q is computed from the engine's rows; it matches a
+  // recomputation on the mirror only if the doubled edge kept weight 2.0.
+  const auto csr = graph::Csr::from_edges(mirror, in.n);
+  EXPECT_NEAR(snap->modularity, metrics::modularity(csr, snap->labels), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, EngineFootprint, ::testing::Values(1, 4),

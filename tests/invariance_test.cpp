@@ -1,7 +1,6 @@
 // Invariance properties of the parallel engine: configuration knobs that
 // only change *data layout* or *transport* must not change the answer.
 //
-//   * hash function / table load factor — table layout only;
 //   * aggregator capacity — chunking only;
 //   * partition kind (cyclic vs block) — ownership only: every global
 //     decision (gain histogram, cutoff, tie breaks) is rank-independent;
@@ -32,35 +31,6 @@ graph::EdgeList test_graph() {
 
 Result run(const graph::EdgeList& edges, const ParOptions& opts) {
   return plv::louvain(GraphSource::from_edges(edges, 1200), opts);
-}
-
-TEST(Invariance, HashFunctionDoesNotChangeResult) {
-  const auto edges = test_graph();
-  ParOptions base;
-  base.nranks = 4;
-  const auto reference = run(edges, base);
-  for (auto kind : {hashing::HashKind::kLinearCongruential, hashing::HashKind::kBitwise,
-                    hashing::HashKind::kConcatenated}) {
-    ParOptions opts = base;
-    opts.hash = kind;
-    const auto r = run(edges, opts);
-    EXPECT_EQ(r.final_labels, reference.final_labels)
-        << hashing::hash_kind_name(kind);
-    EXPECT_DOUBLE_EQ(r.final_modularity, reference.final_modularity);
-  }
-}
-
-TEST(Invariance, LoadFactorDoesNotChangeResult) {
-  const auto edges = test_graph();
-  ParOptions base;
-  base.nranks = 4;
-  const auto reference = run(edges, base);
-  for (double load : {0.9, 0.5, 0.125}) {
-    ParOptions opts = base;
-    opts.table_max_load = load;
-    const auto r = run(edges, opts);
-    EXPECT_EQ(r.final_labels, reference.final_labels) << "load " << load;
-  }
 }
 
 TEST(Invariance, AggregatorCapacityDoesNotChangeResult) {

@@ -78,16 +78,6 @@ TEST(OptionsValidate, RejectsNonPositiveHeuristicParams) {
   EXPECT_NO_THROW(opts.validate());
 }
 
-TEST(OptionsValidate, RejectsOutOfRangeTableLoad) {
-  ParOptions opts;
-  opts.table_max_load = 0.0;
-  expect_rejected(opts, "table_max_load");
-  opts.table_max_load = 1.5;
-  expect_rejected(opts, "table_max_load");
-  opts.table_max_load = 1.0;  // boundary is allowed
-  EXPECT_NO_THROW(opts.validate());
-}
-
 TEST(OptionsValidate, RejectsOverflowingAggregatorCapacity) {
   ParOptions opts;
   opts.aggregator_capacity = std::numeric_limits<std::size_t>::max();

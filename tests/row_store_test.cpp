@@ -1,7 +1,7 @@
-// RowStore against EdgeTable: the row store replaces the hashed Out_Table,
-// so the same sequence of full rebuilds and retraction/assertion patches
-// must leave both holding the same entries with bitwise-equal weights and
-// equal contribution counts, while every row stays sorted by community.
+// RowStore against EdgeTable: the row store replaces the hashed In_Table
+// and Out_Table, so the same build, full rebuilds and retraction/assertion
+// patches must leave both holding the same entries with bitwise-equal
+// weights and equal contribution counts, while every row stays sorted.
 #include "hashing/row_store.hpp"
 
 #include <gtest/gtest.h>
@@ -64,6 +64,23 @@ TEST(RowStore, MatchesEdgeTableUnderRebuildsAndPatches) {
       }
       start.push_back(start.back() + degree);
     }
+    // build(): counted, laid out, appended, sealed and compacted in one
+    // call, so the slab holds exactly one slot per distinct entry.
+    RowStore built;
+    built.build(start.size() - 1, [&](auto&& sink) {
+      for (const InEdge& e : edges) sink(e.row, e.c, e.w);
+    });
+    EdgeTable reference;
+    for (const InEdge& e : edges) {
+      reference.insert_or_add(pack_key(static_cast<vid_t>(e.row), e.c), e.w);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches(built, reference));
+    ASSERT_EQ(built.capacity(), built.size());
+    ASSERT_EQ(built.layout().back(), built.size());
+    for (std::size_t r = 0; r < built.rows(); ++r) {
+      ASSERT_EQ(built.layout()[r + 1] - built.layout()[r], built.row(r).size()) << "row " << r;
+    }
+
     RowStore rows;
     rows.reset(start);
     EdgeTable table;

@@ -138,8 +138,8 @@ TEST(Session, IncrementalApplyKeepsQualityAndExactModularity) {
     apply_edge_delta(mirror, delta);
     const auto snap = session.apply(delta);
     EXPECT_TRUE(snap->incremental);
-    // Reported Q is computed on the patched In_Table — it must agree with
-    // an independent recomputation on the mirror graph.
+    // Reported Q is computed on level 0 rebuilt from the patched replica —
+    // it must agree with an independent recomputation on the mirror graph.
     const auto csr = graph::Csr::from_edges(mirror, n);
     EXPECT_NEAR(snap->modularity, metrics::modularity(csr, snap->labels), 1e-9);
     // Dirty-region re-refine keeps the partition close to a cold one.

@@ -71,15 +71,6 @@ The rules:
       sweeps carry `plv-lint: allow(refine-full-scan)` markers explaining
       why each is not a per-iteration full scan.
 
-  rank-entry-ban
-      core::louvain_rank is the per-rank engine body — a test seam for
-      driving one rank inside a harness-owned fleet, not an entry point.
-      Library, bench, and example code must go through the plv::louvain /
-      GraphSource front door (or plv::Session for streaming), which own
-      validation, fleet spawning, and result assembly. Calls are banned
-      outside tests/; src/core/louvain_par.{cpp,hpp} (definition and
-      declaration) are exempt.
-
   raw-mutex-ban
       Locks go through the annotated wrappers in src/common/sync.hpp
       (plv::Mutex / plv::CondVar / plv::MutexLock) so Clang Thread Safety
@@ -125,10 +116,6 @@ CHUNK_EXEMPT = ("src/pml/mailbox.hpp",)
 # Aggregator/drain pairing is checked everywhere the API is used, tests
 # and benches included — a deadlocking example is still a bug.
 AGG_DIRS = ("src", "tests", "bench", "examples")
-# louvain_rank is callable from tests only; the engine's own translation
-# unit and header hold the definition/declaration.
-RANK_ENTRY_DIRS = ("src", "bench", "examples")
-RANK_ENTRY_EXEMPT = ("src/core/louvain_par.cpp", "src/core/louvain_par.hpp")
 # Full-partition sweeps are banned only in the refine engine's own TU —
 # that is where the frontier lives and where an unmarked `< local_n` loop
 # means a hot path silently scanning every vertex per iteration.
@@ -164,7 +151,6 @@ FLUSH_CALL_RE = re.compile(r"(?:\.|->)\s*(flush_all(?:_final)?)\s*\(")
 LEADER_CALL_RE = re.compile(r"(?:\.|->)\s*leader_alltoallv\s*\(")
 GROUP_CALL_RE = re.compile(r"(?:\.|->)\s*group_alltoallv\s*\(")
 IS_LEADER_RE = re.compile(r"\bis_leader\b")
-RANK_ENTRY_RE = re.compile(r"\blouvain_rank\s*\(")
 # A for loop whose bound is the local partition size: `for (vid_t l = 0;
 # l < local_n; ...)` and spacing/name variants. The bound name is what
 # makes it a full-partition sweep; the induction variable is free.
@@ -232,11 +218,6 @@ MESSAGES = {
         "full-partition vertex sweep in the refine engine; iterate the "
         "active frontier instead, or mark a sanctioned once-per-level "
         "sweep with plv-lint: allow(refine-full-scan)"
-    ),
-    "rank-entry-ban": (
-        "direct louvain_rank call outside tests/; go through plv::louvain "
-        "/ GraphSource (or plv::Session) — the front door owns "
-        "validation, fleet spawning, and result assembly"
     ),
     "raw-mutex-ban": (
         "raw std lock primitive declared outside common/sync.hpp; use the "
@@ -347,13 +328,12 @@ class FileScope:
         self.map_ban = rel.startswith(MAP_BAN_DIRS)
         self.chunk = rel.startswith(CHUNK_DIRS) and rel not in CHUNK_EXEMPT
         self.agg = rel.startswith(AGG_DIRS)
-        self.rank_entry = rel.startswith(RANK_ENTRY_DIRS) and rel not in RANK_ENTRY_EXEMPT
         self.refine_scan = rel in REFINE_SCAN_FILES
         self.raw_mutex = rel.startswith(RAW_MUTEX_DIRS) and rel not in RAW_MUTEX_EXEMPT
         self.memory_order = rel.startswith(MEMORY_ORDER_DIRS)
 
     def any(self) -> bool:
-        return (self.map_ban or self.chunk or self.agg or self.rank_entry
+        return (self.map_ban or self.chunk or self.agg
                 or self.refine_scan or self.raw_mutex or self.memory_order)
 
 
@@ -378,8 +358,6 @@ class RegexEngine:
             if scope.chunk and (RAW_DELETE_RE.search(code_line)
                                 or RECYCLE_RE.search(code_line)):
                 hit(idx, "raw-chunk-release")
-            if scope.rank_entry and RANK_ENTRY_RE.search(code_line):
-                hit(idx, "rank-entry-ban")
             if scope.refine_scan and REFINE_SCAN_RE.search(code_line):
                 hit(idx, "refine-full-scan")
             if scope.raw_mutex and RAW_MUTEX_RE.search(code_line):
@@ -605,10 +583,6 @@ class ClangEngine:
                     if parent in (None, "Chunk"):
                         hit(line, "raw-chunk-release")
 
-            if scope.rank_entry and kind == ci.CursorKind.CALL_EXPR \
-                    and c.spelling == "louvain_rank":
-                hit(line, "rank-entry-ban")
-
             if scope.refine_scan and kind == ci.CursorKind.FOR_STMT:
                 ext = c.extent
                 header = raw[ext.start.offset:min(ext.start.offset + 300,
@@ -717,7 +691,7 @@ class Linter:
         (the seam the self-test suite drives)."""
         self.scanned = 0
         all_dirs = tuple(sorted({*MAP_BAN_DIRS, *CHUNK_DIRS, *AGG_DIRS,
-                                 *RANK_ENTRY_DIRS, *RAW_MUTEX_DIRS,
+                                 *RAW_MUTEX_DIRS,
                                  *MEMORY_ORDER_DIRS}))
         for p in self.files_under(all_dirs):
             scope = FileScope(p.relative_to(self.root).as_posix())
