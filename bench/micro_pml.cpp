@@ -1,77 +1,31 @@
-// Micro-benchmarks of the messaging layer (google-benchmark).
+// Micro-benchmarks of the messaging layer (google-benchmark), on the wall
+// clock (UseRealTime: the work runs on rank threads and forked processes,
+// not the benchmark's main thread).
 //
 // The paper attributes its scalability to a runtime "specifically
-// designed for fine-grained applications" (abstract). These measure the
-// constants of our substitute: collective latency, alltoallv exchange
-// bandwidth, quiescence-protocol overhead, and the fine-grained
-// aggregation path's records/second at different coalescing capacities —
-// the knob the Aggregator exists for.
+// designed for fine-grained applications" (abstract). perfbench measures
+// barrier and allreduce latency, exchange bandwidth and aggregator
+// throughput (pml.* probes); what stays here is what it does not: the
+// quiescence protocol's empty-phase cost and the hierarchical-vs-flat
+// collectives A/B on the hybrid substrate.
 //
-// The fine-grained benchmarks run several phases inside one Runtime so
-// the chunk pool reaches steady state (zero allocation, zero copy beyond
-// record coalescing), exactly as the Louvain phases use it; runtime
-// spin-up is amortized across the phase batch.
+// The quiescence benchmark runs many phases inside one Runtime so the
+// chunk pool reaches steady state, exactly as the Louvain phases use it;
+// runtime spin-up is amortized across the phase batch.
 #include <benchmark/benchmark.h>
 
 #include "bench_context.hpp"
 #include "core/louvain_par.hpp"
 #include "gen/lfr.hpp"
-#include "pml/aggregator.hpp"
 #include "pml/comm.hpp"
 #include "pml/transport_hybrid.hpp"
 
 namespace {
 
-using plv::pml::Aggregator;
 using plv::pml::Comm;
 using plv::pml::HybridOptions;
 using plv::pml::Runtime;
 using plv::pml::TransportKind;
-
-void BM_Barrier(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(nranks, [&](Comm& comm) {
-      for (int i = 0; i < 100; ++i) comm.barrier();
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_AllreduceSum(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(nranks, [&](Comm& comm) {
-      std::uint64_t acc = 0;
-      for (int i = 0; i < 100; ++i) {
-        acc += comm.allreduce_sum<std::uint64_t>(static_cast<std::uint64_t>(comm.rank()));
-      }
-      benchmark::DoNotOptimize(acc);
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_AllreduceSum)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_ExchangeBandwidth(benchmark::State& state) {
-  const int nranks = 4;
-  const auto records = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(nranks, [&](Comm& comm) {
-      std::vector<std::vector<std::uint64_t>> out(nranks);
-      for (int d = 0; d < nranks; ++d) out[d].assign(records, 42);
-      const auto in = comm.exchange(out);
-      benchmark::DoNotOptimize(in.size());
-    });
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(records) * nranks * nranks);
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(records * sizeof(std::uint64_t)) *
-                          nranks * nranks);
-}
-BENCHMARK(BM_ExchangeBandwidth)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 
 /// Cost of an empty fine-grained phase: nothing but the counted-termination
 /// markers. The seed protocol paid one allreduce to settle the sent count
@@ -89,39 +43,7 @@ void BM_QuiescenceLatency(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kPhases);
 }
-BENCHMARK(BM_QuiescenceLatency)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_AggregatorThroughput(benchmark::State& state) {
-  // The Fig.-style coalescing sweep: tiny chunks vs paper-sized chunks.
-  // 4-rank all-to-all record exchange through the aggregators; phases
-  // repeat inside one runtime so pooled chunks circulate.
-  const auto capacity = static_cast<std::size_t>(state.range(0));
-  constexpr int nranks = 4;
-  constexpr int kPhases = 16;
-  constexpr std::size_t kRecords = 50000;
-  struct Rec {
-    std::uint32_t a, b;
-    double w;
-  };
-  for (auto _ : state) {
-    Runtime::run(nranks, [&](Comm& comm) {
-      for (int p = 0; p < kPhases; ++p) {
-        Aggregator<Rec> agg(comm, capacity);
-        for (std::size_t i = 0; i < kRecords; ++i) {
-          agg.push(static_cast<int>(i % nranks), Rec{1, 2, 3.0});
-        }
-        agg.flush_all();
-        std::size_t got = 0;
-        comm.drain_until_quiescent<Rec>(
-            [&](int, std::span<const Rec> recs) { got += recs.size(); });
-        benchmark::DoNotOptimize(got);
-      }
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * kPhases *
-                          static_cast<std::int64_t>(kRecords) * nranks);
-}
-BENCHMARK(BM_AggregatorThroughput)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_QuiescenceLatency)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // Hierarchical vs flat collectives, interleaved A/B on the SAME composed
 // hybrid substrate: an 8-rank fleet of 4 forked processes x 2 thread
@@ -167,7 +89,7 @@ void BM_HierCollectivesAB(benchmark::State& state) {
                      (static_cast<double>(runs) * kRounds * 2)
                : 0.0;
 }
-BENCHMARK(BM_HierCollectivesAB)->ArgName("hier")->Arg(0)->Arg(1);
+BENCHMARK(BM_HierCollectivesAB)->ArgName("hier")->Arg(0)->Arg(1)->UseRealTime();
 
 // The headline number: inter-group collective traffic per refine
 // iteration of the real engine at 8 ranks (4x2 hybrid), flat vs
@@ -217,7 +139,8 @@ BENCHMARK(BM_HierRefineRoundsAB)
     ->ArgName("hier")
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -90,6 +90,34 @@ struct LabelPair {
 static_assert(sizeof(PropMsg) == 16 && sizeof(DeltaMsg) == 16 && sizeof(SinMsg) == 16 &&
               sizeof(EdgeMsg) == 16);
 
+// ---------------------------------------------------------------------------
+// Fixed engine constants. Each has one setting in use; none is a knob.
+// ---------------------------------------------------------------------------
+
+/// Chunk free-list high-water mark, in chunk nodes per rank, trimmed at
+/// phase boundaries. Nonzero so the idle pool stays bounded between phases
+/// (0 never trims); 256 is the setting every perfbench peak_rss_mb reading
+/// was taken at, and no measurement has called for another.
+inline constexpr std::size_t kChunkPoolWatermark = 256;
+
+/// Bins of the allreduced ε → ΔQ̂ gain histogram (Section IV-B). The cutoff
+/// lands on a bin edge, so ΔQ̂ resolves to 1/512 of the level's largest
+/// gain, for one 512-counter allreduce per iteration.
+inline constexpr std::size_t kGainHistogramBins = 512;
+
+/// Levels smaller than this refine unrestricted even under active
+/// scheduling. Restricting moves to the frontier admits fewer movers per
+/// round and stretches convergence over more iterations: worth it while
+/// the FIND scan dominates, a net loss once a level is small enough that
+/// per-iteration collective rounds dominate and scanning every vertex is
+/// effectively free (DESIGN.md decision 15).
+inline constexpr vid_t kMinFrontierVertices = 1024;
+
+/// Threshold scaling divides the tolerance by this factor per level, as
+/// in Sahu's GVE-Louvain: coarse levels converge in few sweeps and the
+/// cascade reaches q_tolerance within a few levels.
+inline constexpr double kToleranceDecay = 10.0;
+
 /// Per-community bookkeeping held by the community's owner.
 struct CommInfo {
   weight_t sigma_tot{0};
@@ -109,7 +137,7 @@ class RankEngine {
         part_(opts.partition, 0, comm.nranks()),
         prop_agg_(comm, opts.aggregator_capacity),
         sigma_reqs_(static_cast<std::size_t>(comm.nranks())) {
-    comm_.set_chunk_pool_watermark(opts.chunk_pool_watermark);
+    comm_.set_chunk_pool_watermark(kChunkPoolWatermark);
   }
 
   /// Builds level 0 from the (shared, read-only) global edge list: the
@@ -351,8 +379,7 @@ class RankEngine {
     // iterations, a loss once a level is collective-bound.
     pinned_ = false;
     restricted_ = false;
-    prune_ = opts_.refine.active_scheduling &&
-             n_level_ >= opts_.refine.min_frontier_vertices;
+    prune_ = opts_.refine.active_scheduling && n_level_ >= kMinFrontierVertices;
     if (prune_) {
       active_.assign(local_n, 1);
     } else {
@@ -549,10 +576,6 @@ class RankEngine {
     } else {
       scanned_ = static_cast<std::uint64_t>(local_n);
     }
-    // Active scheduling implies the exact rule (RefinePlan::active_scheduling).
-    const bool exact_ties =
-        opts_.refine.min_label_ties || opts_.refine.active_scheduling;
-
     // σ-independent half of the stay score: w_stay = Out[(u, cu)] − self
     // loop. The σ term is folded in after the replies arrive.
     auto stay_init = [&] {
@@ -647,13 +670,10 @@ class RankEngine {
         // oscillation Section III warns about.
         if (lone && target->members == 1 && c > cu) continue;
         const double score = e.w - gamma * target->sigma_tot * k / two_m_;
-        // Ties: the default prefers the smaller id only inside a 1e-15
-        // band (kept bit-for-bit); min-label tie-breaking is exact.
-        const bool better =
-            exact_ties ? (score > best_score || (score == best_score && c < best))
-                       : (score > best_score + 1e-15 ||
-                          (score > best_score - 1e-15 && c < best));
-        if (better) {
+        // Minimum-label tie-breaking (Lu & Halappanavar): an equal score
+        // resolves to the smaller id under exact comparison, so the target
+        // does not depend on candidate enumeration order.
+        if (score > best_score || (score == best_score && c < best)) {
           best_score = score;
           best = c;
         }
@@ -694,7 +714,7 @@ class RankEngine {
     if (agg.count == 0 || agg.max <= 0.0) return -1.0;  // signals "no mover"
     if (eps >= 1.0) return 0.0;                         // all positive gains move
 
-    hist_.reset(0.0, agg.max, plan.gain_histogram_bins);
+    hist_.reset(0.0, agg.max, kGainHistogramBins);
     for (double g : pos_gains_) hist_.add(g);
     comm_.allreduce_vec_sum(hist_.counts(), hist_scratch_);
 
@@ -804,7 +824,7 @@ class RankEngine {
   // -- REFINE (Algorithm 4) ---------------------------------------------------
 
   /// Per-level convergence tolerance under threshold scaling: level L
-  /// refines against max(q_tolerance, initial_tolerance / decay^L), so the
+  /// refines against max(q_tolerance, initial_tolerance / 10^L), so the
   /// coarse early levels converge in fewer sweeps and the cascade tightens
   /// geometrically toward the final tolerance (Sahu's threshold scaling).
   /// With initial_tolerance = 0 (default) this is exactly q_tolerance.
@@ -812,7 +832,7 @@ class RankEngine {
     const RefinePlan& plan = opts_.refine;
     if (!(plan.initial_tolerance > 0.0)) return plan.q_tolerance;
     const double scaled = plan.initial_tolerance /
-                          std::pow(plan.tolerance_decay, static_cast<double>(level_index_));
+                          std::pow(kToleranceDecay, static_cast<double>(level_index_));
     return std::max(plan.q_tolerance, scaled);
   }
 
@@ -912,18 +932,16 @@ class RankEngine {
       timers_.add(phase::kSigmaInExchange, t.seconds());
       const double q = stats.q;
 
-      if (opts_.record_trace) {
-        level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
-                                             static_cast<double>(n_level_));
-        level.trace.modularity.push_back(q);
-        level.trace.epsilon.push_back(eps);
-        level.trace.gain_cutoff.push_back(cutoff);
-        level.trace.find_seconds.push_back(find_s);
-        level.trace.update_seconds.push_back(update_s);
-        level.trace.prop_seconds.push_back(prop_s);
-        level.trace.prop_records.push_back(stats.prop_sent);
-        level.trace.scanned_vertices.push_back(stats.scanned);
-      }
+      level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
+                                           static_cast<double>(n_level_));
+      level.trace.modularity.push_back(q);
+      level.trace.epsilon.push_back(eps);
+      level.trace.gain_cutoff.push_back(cutoff);
+      level.trace.find_seconds.push_back(find_s);
+      level.trace.update_seconds.push_back(update_s);
+      level.trace.prop_seconds.push_back(prop_s);
+      level.trace.prop_records.push_back(stats.prop_sent);
+      level.trace.scanned_vertices.push_back(stats.scanned);
 
       // One stagnant iteration can just mean a low-ε round; require a
       // window of them (all ranks see the same global q/moves, so the
@@ -1457,11 +1475,10 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
         edges_before == 0 ||
         static_cast<double>(delta.size()) >
             opts.streaming.max_delta_fraction * static_cast<double>(edges_before);
-    // The incremental path is kept to the cyclic partition (the Session
-    // constructor rejects a block-partition frontier) and needs the PropMsg
-    // retraction encoding (ids below the bit).
-    const bool incremental_capable =
-        opts.partition == graph::PartitionKind::kCyclic && new_n < kRetractBit;
+    // The incremental path needs the PropMsg retraction encoding (ids
+    // below the bit). Either partition works: level 0 is rebuilt from the
+    // replica on every pass, so shifted block ownership costs nothing.
+    const bool incremental_capable = new_n < kRetractBit;
 
     n = new_n;
     if (cadence_due || too_big || !incremental_capable) {
@@ -1473,7 +1490,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     }
 
     // Incremental apply: re-refine the updated graph from the previous
-    // epoch's labels, restricted to the disturbed frontier when configured.
+    // epoch's labels, restricted to the disturbed frontier.
     const std::vector<vid_t> warm = normalize_warm_labels(std::move(labels), n);
     std::vector<vid_t> seeds;
     seeds.reserve(2 * delta.size());
@@ -1485,7 +1502,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
       seeds.push_back(e.u);
       seeds.push_back(e.v);
     }
-    publish(cmd.seq, detect(&warm, opts.streaming.frontier ? &seeds : nullptr), true);
+    publish(cmd.seq, detect(&warm, &seeds), true);
   }
 }
 

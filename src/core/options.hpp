@@ -26,10 +26,6 @@ namespace plv::core {
 /// (pml::auto_aggregator_capacity) instead of a fixed record count.
 inline constexpr std::size_t kAutoAggregatorCapacity = 0;
 
-/// ParOptions::chunk_pool_watermark — never trim the per-rank chunk free
-/// list (the historical unbounded-pool behavior).
-inline constexpr std::size_t kUnboundedChunkPool = 0;
-
 /// RefinePlan::full_rebuild_every — rebuild the Out_Table from scratch in
 /// every inner iteration (the legacy pre-delta behavior; the ablation
 /// baseline for the incremental-maintenance benches).
@@ -114,7 +110,6 @@ struct RefinePlan {
   ThresholdModel threshold{ThresholdModel::kPaperEq7};
   double p1{0.03};
   double p2{0.3};
-  std::size_t gain_histogram_bins{512};
 
   // Out_Table maintenance cadence: a full state-propagation rebuild every
   // N inner iterations, with incremental retraction/assertion deltas in
@@ -141,8 +136,7 @@ struct RefinePlan {
   double resolution{1.0};
 
   // --- Convergence heuristics beyond Eq. 7 (DESIGN.md decision 15). All
-  // default off; with every knob at its default the engine is bit-identical
-  // to the pre-heuristic baseline on all transports and maintenance paths.
+  // default off.
 
   // Active-vertex scheduling (Sahu's unchanged-vertex pruning): after the
   // first delta propagation of a level, only vertices that moved last
@@ -150,24 +144,10 @@ struct RefinePlan {
   // community changed — the wakeup rides the existing PropMsg stream) are
   // rescanned by FIND; everyone else keeps gain 0 and cannot move. A full
   // cadence/traffic rebuild reactivates the whole partition, so the
-  // incremental-vs-rebuilt exactness story is unchanged. Implies exact
-  // min-label tie-breaking, so a join depends on the scores alone.
+  // incremental-vs-rebuilt exactness story is unchanged. Levels below a
+  // fixed size floor refine unrestricted (louvain_par.cpp
+  // kMinFrontierVertices).
   bool active_scheduling{false};
-
-  // Levels smaller than this refine unrestricted even under active
-  // scheduling. Restricting moves to the frontier admits fewer movers per
-  // round, stretching convergence across more iterations — worth it while
-  // the FIND scan dominates, a net loss once the level graph is small
-  // enough that per-iteration collective rounds dominate and scanning
-  // everything is effectively free. 0 = prune every level.
-  vid_t min_frontier_vertices{1024};
-
-  // Minimum-label tie-breaking (Lu & Halappanavar): equal-gain candidates
-  // resolve to the smallest community id under *exact* comparison, making
-  // the chosen target independent of candidate enumeration order. The
-  // default comparator prefers smaller ids only within a 1e-15 score band
-  // (kept for bit-compat); this makes the tie rule exact.
-  bool min_label_ties{false};
 
   // Vertex-following (Lu & Halappanavar): before the level-0 refine, fold
   // each vertex with exactly one distinct neighbor onto that neighbor
@@ -180,14 +160,13 @@ struct RefinePlan {
   bool vertex_following{false};
 
   // Threshold scaling (Sahu): level L refines against tolerance
-  // max(q_tolerance, initial_tolerance / tolerance_decay^L) — coarse early
+  // max(q_tolerance, initial_tolerance / 10^L) — coarse early
   // levels converge in fewer sweeps, and the cascade tightens geometrically
   // toward the final q_tolerance. The same per-level tolerance also floors
   // the histogram gain cutoff at tolerance / n_level, so sub-tolerance
   // shuffling doesn't keep iterations alive. 0 = off (every level uses
   // q_tolerance directly).
   double initial_tolerance{0.0};
-  double tolerance_decay{10.0};
 
   /// Preset: every convergence heuristic on — the configuration the
   /// BM_FrontierAB bench and the quality-parity suite exercise. The
@@ -198,30 +177,8 @@ struct RefinePlan {
   [[nodiscard]] static RefinePlan heuristics() {
     RefinePlan plan;
     plan.active_scheduling = true;
-    plan.min_label_ties = true;
     plan.vertex_following = true;
     plan.initial_tolerance = 1e-3;
-    plan.tolerance_decay = 10.0;
-    return plan;
-  }
-
-  /// Preset: bit-reproducible across maintenance paths — the Out_Table is
-  /// rebuilt every iteration (no incremental drift even on irrational
-  /// weights) and the churn trigger is off. The slowest, most auditable
-  /// configuration; what the equivalence suites pin.
-  [[nodiscard]] static RefinePlan deterministic() {
-    RefinePlan plan;
-    plan.full_rebuild_every = kRebuildEveryIteration;
-    plan.adaptive_rebuild_drift = kAdaptiveRebuildOff;
-    return plan;
-  }
-
-  /// Preset: lowest-traffic steady state — no cadence rebuilds at all;
-  /// only the churn trigger and the records-shipped fallback schedule
-  /// them. Results stay bit-identical on integer-weight graphs.
-  [[nodiscard]] static RefinePlan fast() {
-    RefinePlan plan;
-    plan.full_rebuild_every = kNeverRebuild;
     return plan;
   }
 };
@@ -229,6 +186,14 @@ struct RefinePlan {
 /// The streaming half of the configuration — how plv::Session turns
 /// EdgeDelta batches into new label epochs. Ignored by one-shot
 /// plv::louvain runs.
+///
+/// Every apply that is not cold is a dirty-region re-refinement: the
+/// disturbed-vertex frontier is seeded from the endpoints of changed edges
+/// and only frontier vertices move, the frontier growing through the
+/// retraction/assertion patches their moves ship (Lu & Halappanavar's
+/// disturbed set, Sahu's pruning). It runs on either partition: level 0 is
+/// rebuilt from the edge replica on every apply, so ownership may shift as
+/// the vertex count grows.
 struct StreamingPlan {
   // Cold-rebuild cadence, in batches: every Nth Session::apply discards
   // the warm state and re-runs from scratch on the updated edge list —
@@ -237,16 +202,6 @@ struct StreamingPlan {
   // cold run (the exact-equivalence mode); kNeverColdRebuild (0) never
   // schedules one.
   int rebuild_every_batches{16};
-
-  // Dirty-region re-refinement: seed the disturbed-vertex frontier from
-  // the endpoints of changed edges and let only frontier vertices move,
-  // growing the frontier through the retraction/assertion patches their
-  // moves ship (Lu & Halappanavar's disturbed set, Sahu's pruning).
-  // false = warm-seeded but unrestricted refinement between cold
-  // rebuilds. Requires the cyclic partition (vertex ownership must not
-  // shift as the vertex count grows); Session enforces that at
-  // construction.
-  bool frontier{true};
 
   // Batches touching more than this fraction of the current edge list
   // take the cold path regardless of cadence — a graph-wide rewrite
@@ -259,7 +214,6 @@ struct StreamingPlan {
   [[nodiscard]] static StreamingPlan deterministic() {
     StreamingPlan plan;
     plan.rebuild_every_batches = kColdRebuildEveryBatch;
-    plan.frontier = false;
     return plan;
   }
 
@@ -268,7 +222,6 @@ struct StreamingPlan {
   [[nodiscard]] static StreamingPlan fast() {
     StreamingPlan plan;
     plan.rebuild_every_batches = kNeverColdRebuild;
-    plan.frontier = true;
     return plan;
   }
 };
@@ -339,36 +292,11 @@ struct ParOptions {
   // sweeps.
   std::size_t aggregator_capacity{kAutoAggregatorCapacity};
 
-  // Free-list high-water mark, in chunk nodes per rank; trimmed at phase
-  // boundaries. kUnboundedChunkPool = never trim.
-  std::size_t chunk_pool_watermark{256};
-
-  // Telemetry.
-  bool record_trace{true};
-
   // The plan groups (see RefinePlan / StreamingPlan above). These and
   // `hosts` carry explicit `{}` so that designated-initializer construction
   // (`ParOptions{.nranks = 2}`) leaves no member without an initializer.
   RefinePlan refine{};
   StreamingPlan streaming{};
-
-  /// Preset: the most auditable configuration — deterministic refine plan
-  /// (rebuild every iteration) plus cold-rebuild-every-batch streaming.
-  [[nodiscard]] static ParOptions deterministic() {
-    ParOptions opts;
-    opts.refine = RefinePlan::deterministic();
-    opts.streaming = StreamingPlan::deterministic();
-    return opts;
-  }
-
-  /// Preset: lowest latency — delta-only refine plan plus frontier
-  /// streaming with no cadence rebuilds.
-  [[nodiscard]] static ParOptions fast() {
-    ParOptions opts;
-    opts.refine = RefinePlan::fast();
-    opts.streaming = StreamingPlan::fast();
-    return opts;
-  }
 
   /// Rejects inconsistent knob combinations with messages that name the
   /// offending field, the offered value, and the accepted range. Called
@@ -403,9 +331,6 @@ struct ParOptions {
         fail("p2 must be > 0 when a threshold model is active, got " + std::to_string(refine.p2) +
              " (use ThresholdModel::kNone to disable the heuristic)");
       }
-    }
-    if (refine.gain_histogram_bins < 1) {
-      fail("gain_histogram_bins must be >= 1, got " + std::to_string(refine.gain_histogram_bins));
     }
     // Records are at most a few dozen bytes; this bound keeps
     // capacity * record_size far from std::size_t overflow while allowing
@@ -443,11 +368,6 @@ struct ParOptions {
     if (!(refine.initial_tolerance >= 0.0) || !std::isfinite(refine.initial_tolerance)) {
       fail("initial_tolerance must be >= 0 and finite, got " +
            std::to_string(refine.initial_tolerance) + " (0 disables threshold scaling)");
-    }
-    if (refine.initial_tolerance > 0.0 && !(refine.tolerance_decay > 1.0)) {
-      fail("tolerance_decay must be > 1 when threshold scaling is on, got " +
-           std::to_string(refine.tolerance_decay) +
-           " (each level divides the tolerance by this factor)");
     }
     if (transport != pml::TransportKind::kThread &&
         transport != pml::TransportKind::kProc &&

@@ -15,13 +15,6 @@ using core::detail::SessionShared;
 Session::Session(const GraphSource& source, const core::ParOptions& opts) {
   source.require_live("Session");
   opts.validate();
-  if (opts.streaming.frontier && opts.partition == graph::PartitionKind::kBlock) {
-    throw std::invalid_argument(
-        "Session: StreamingPlan::frontier requires the cyclic partition — block "
-        "ownership shifts when the vertex count grows, and the incremental path "
-        "runs on the cyclic partition only (set streaming.frontier = false or "
-        "partition = kCyclic)");
-  }
   if (opts.transport == pml::TransportKind::kTcp && opts.tcp_rank > 0) {
     throw std::invalid_argument(
         "Session: a multi-host tcp fleet is driven from its rank-0 process; this "

@@ -5,8 +5,8 @@
 // hybrid groups — whatever ParOptions::transport selects), each holding
 // its replica of the edge list and the current composed partition.
 // apply(EdgeDelta) patches the replica, rebuilds level 0 from it, and
-// re-refines only the disturbed region (StreamingPlan
-// controls the frontier and the cold-rebuild cadence); snapshot() hands
+// re-refines only the disturbed region, or runs cold when StreamingPlan's
+// cadence or batch-size rule says so; snapshot() hands
 // out immutable epoch-stamped partitions that readers keep for as long
 // as they like, without ever blocking an in-flight apply.
 //
@@ -100,9 +100,8 @@ class Session {
   /// the Session copies the edge list (or gathers the stream's slices)
   /// into fleet-resident state.
   ///
-  /// Requirements checked here: StreamingPlan::frontier needs the cyclic
-  /// partition (block ownership shifts with the vertex count), and a
-  /// multi-host TCP fleet can only be driven from its rank-0 process.
+  /// Requirement checked here: a multi-host TCP fleet can only be driven
+  /// from its rank-0 process. Either partition kind applies incrementally.
   Session(const GraphSource& source, const core::ParOptions& opts);
 
   /// Shuts the fleet down (close()) if still running.

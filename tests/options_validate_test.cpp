@@ -58,9 +58,6 @@ TEST(OptionsValidate, RejectsDegenerateIterationLimits) {
   opts = ParOptions{};
   opts.refine.stagnation_window = 0;
   expect_rejected(opts, "stagnation_window");
-  opts = ParOptions{};
-  opts.refine.gain_histogram_bins = 0;
-  expect_rejected(opts, "gain_histogram_bins");
 }
 
 TEST(OptionsValidate, RejectsNonPositiveHeuristicParams) {
@@ -126,18 +123,9 @@ TEST(OptionsValidate, RejectsBadThresholdScaling) {
   expect_rejected(opts, "initial_tolerance");
   opts.refine.initial_tolerance = std::nan("");
   expect_rejected(opts, "initial_tolerance");
-  // Scaling on requires a genuinely tightening cascade: decay must
-  // exceed 1 or every level would see the same (or a looser) tolerance.
   opts.refine.initial_tolerance = 1e-2;
-  opts.refine.tolerance_decay = 1.0;
-  expect_rejected(opts, "tolerance_decay");
-  opts.refine.tolerance_decay = std::nan("");
-  expect_rejected(opts, "tolerance_decay");
-  opts.refine.tolerance_decay = 10.0;
   EXPECT_NO_THROW(opts.validate());
-  // Scaling off (0) ignores the decay entirely.
-  opts.refine.initial_tolerance = 0.0;
-  opts.refine.tolerance_decay = 0.5;
+  opts.refine.initial_tolerance = 0.0;  // scaling off
   EXPECT_NO_THROW(opts.validate());
 }
 
@@ -146,14 +134,11 @@ TEST(OptionsPlans, HeuristicsPresetValidatesAndPinsItsContract) {
   opts.refine = RefinePlan::heuristics();
   EXPECT_NO_THROW(opts.validate());
   EXPECT_TRUE(opts.refine.active_scheduling);
-  EXPECT_TRUE(opts.refine.min_label_ties);
   EXPECT_TRUE(opts.refine.vertex_following);
   EXPECT_GT(opts.refine.initial_tolerance, 0.0);
-  EXPECT_GT(opts.refine.tolerance_decay, 1.0);
-  // The stock default keeps every heuristic off — the PR 8 behavior.
+  // The stock default keeps every heuristic off.
   const RefinePlan stock;
   EXPECT_FALSE(stock.active_scheduling);
-  EXPECT_FALSE(stock.min_label_ties);
   EXPECT_FALSE(stock.vertex_following);
   EXPECT_EQ(stock.initial_tolerance, 0.0);
 }
@@ -330,17 +315,15 @@ TEST(OptionsValidate, RejectsOutOfRangeMaxDeltaFraction) {
 }
 
 TEST(OptionsPlans, PresetsValidateAndPinTheirContracts) {
-  // deterministic(): every batch is a cold rebuild, frontier off —
-  // bit-identical to one-shot runs. fast(): never rebuild cold, frontier
-  // on — lowest latency.
-  EXPECT_NO_THROW(ParOptions::deterministic().validate());
-  EXPECT_NO_THROW(ParOptions::fast().validate());
-  EXPECT_EQ(StreamingPlan::deterministic().rebuild_every_batches,
-            kColdRebuildEveryBatch);
-  EXPECT_FALSE(StreamingPlan::deterministic().frontier);
-  EXPECT_EQ(StreamingPlan::fast().rebuild_every_batches, kNeverColdRebuild);
-  EXPECT_TRUE(StreamingPlan::fast().frontier);
-  EXPECT_EQ(RefinePlan::deterministic().adaptive_rebuild_drift, kAdaptiveRebuildOff);
+  // deterministic(): every batch is a cold rebuild — bit-identical to
+  // one-shot runs. fast(): never rebuild cold — lowest latency.
+  ParOptions opts;
+  opts.streaming = StreamingPlan::deterministic();
+  EXPECT_NO_THROW(opts.validate());
+  EXPECT_EQ(opts.streaming.rebuild_every_batches, kColdRebuildEveryBatch);
+  opts.streaming = StreamingPlan::fast();
+  EXPECT_NO_THROW(opts.validate());
+  EXPECT_EQ(opts.streaming.rebuild_every_batches, kNeverColdRebuild);
 }
 
 // One spelling per option: ParOptions is a plain aggregate, so it has no

@@ -1,11 +1,15 @@
 // plv::Session — the streaming front door. The contract under test:
 //
-//  * deterministic plan (rebuild_every_batches = 1, frontier off): every
-//    apply() is bit-identical to a cold plv::louvain() of the patched
+//  * deterministic plan (rebuild_every_batches = 1): every apply() is a
+//    cold run, bit-identical to a cold plv::louvain() of the patched
 //    edge list — on every transport backend;
-//  * fast plan (pure incremental): applies are flagged incremental, stay
-//    close to the cold partition in quality, and the reported Q always
-//    matches a recomputation on the true current graph;
+//  * fast plan (pure incremental, frontier-restricted): applies are
+//    flagged incremental, stay close to the cold partition in quality,
+//    and the reported Q always matches a recomputation on the true
+//    current graph;
+//  * the incremental path is partition-independent: a block-partition
+//    session publishes the cyclic session's labels bit for bit, even as
+//    new vertices shift block ownership;
 //  * snapshots are immutable versioned values: epoch-monotone, readable
 //    concurrently with applies, and an old snapshot never changes;
 //  * failed applies (removing an absent edge) surface on the caller and
@@ -291,20 +295,40 @@ TEST(Session, ExpiredGraphSourceIsRejected) {
   });
 }
 
-TEST(Session, FrontierRequiresCyclicPartition) {
+TEST(Session, BlockPartitionAppliesMatchCyclic) {
+  // Level 0 is rebuilt from the replica on every pass, so the frontier
+  // re-refine does not care who owns a vertex: a block-partition session
+  // must publish exactly the cyclic session's labels, including after
+  // batches that add a vertex and so move the block boundaries. Q is a
+  // sum over owned communities, so ownership changes its rounding only
+  // (as in Invariance.PartitionKindDoesNotChangeResult).
   pml::ScopedTransportEnv park;
-  graph::EdgeList e;
-  e.add(0, 1);
-  auto opts = session_opts(1, core::StreamingPlan::fast());
-  opts.partition = graph::PartitionKind::kBlock;
-  EXPECT_THROW(Session(GraphSource::from_edges(e, 2), opts), std::invalid_argument);
-  // Frontier off: block partitions are fine (every apply runs cold).
-  opts.streaming.frontier = false;
-  Session session(GraphSource::from_edges(e, 2), opts);
-  EdgeDelta delta;
-  delta.inserts.add(0, 1, 1.0);
-  const auto snap = session.apply(delta);
-  EXPECT_FALSE(snap->incremental);
+  vid_t n = 2000;
+  const auto g = gen::lfr({.n = n, .mu = 0.3, .seed = 112});
+  const auto cyclic_opts = session_opts(4, core::StreamingPlan::fast());
+  auto block_opts = cyclic_opts;
+  block_opts.partition = graph::PartitionKind::kBlock;
+  Session cyclic(GraphSource::from_edges(g.edges, n), cyclic_opts);
+  Session block(GraphSource::from_edges(g.edges, n), block_opts);
+  EXPECT_EQ(block.snapshot()->labels, cyclic.snapshot()->labels);
+
+  Xoshiro256 rng(113);
+  std::vector<Edge> pending;
+  for (int b = 0; b < 24; ++b) {
+    EdgeDelta delta = make_batch(rng, pending, n, 20);
+    if (b % 4 == 3) {
+      // A new vertex id, wired to an existing vertex.
+      delta.inserts.add(static_cast<vid_t>(rng.next_below(n)), n, 1.0);
+      delta.n_vertices = ++n;
+    }
+    const auto want = cyclic.apply(delta);
+    const auto got = block.apply(delta);
+    ASSERT_TRUE(want->incremental) << "batch " << b;
+    EXPECT_TRUE(got->incremental) << "batch " << b;
+    EXPECT_EQ(got->n_vertices, n) << "batch " << b;
+    EXPECT_EQ(got->labels, want->labels) << "batch " << b;
+    EXPECT_DOUBLE_EQ(got->modularity, want->modularity) << "batch " << b;
+  }
 }
 
 TEST(Session, BadRemovalFailsTheApplyButKeepsServingSnapshots) {
